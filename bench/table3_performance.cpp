@@ -149,16 +149,15 @@ void printTable3(const std::vector<Table3Row> &Rows) {
 
   std::printf("--- hash-consing / op-cache layer (uncapped runs) ---\n");
   std::printf("Program   opHit%%      hits    misses   graphs  "
-              "lookups  skipped   rss(KiB)\n");
+              "lookups   rss(KiB)\n");
   for (const Table3Row &Row : Rows) {
     const EngineStats &S = Row.Base.Stats;
-    std::printf("%-8s %6.1f %9llu %9llu %8llu %8llu %8llu %10ld\n",
+    std::printf("%-8s %6.1f %9llu %9llu %8llu %8llu %10ld\n",
                 Row.Key.c_str(), 100.0 * cacheHitRate(Row.Base),
                 static_cast<unsigned long long>(S.OpCacheHits),
                 static_cast<unsigned long long>(S.OpCacheMisses),
                 static_cast<unsigned long long>(S.InternedGraphs),
                 static_cast<unsigned long long>(S.EntryLookups),
-                static_cast<unsigned long long>(S.RecomputesSkipped),
                 Row.PeakRssKb);
   }
   std::printf("\n");
@@ -194,7 +193,7 @@ bool writeJson(const std::vector<Table3Row> &Rows, bool PerProgramRss,
         "\"op_cache_hits\": %llu, \"op_cache_misses\": %llu, "
         "\"op_cache_hit_rate\": %.4f, \"interned_graphs\": %llu, "
         "\"entry_lookups\": %llu, \"entry_compares\": %llu, "
-        "\"recomputes_skipped\": %llu, \"peak_rss_kb\": %ld, "
+        "\"peak_rss_kb\": %ld, "
         "\"widen_invocations\": %llu, \"widen_cache_hits\": %llu, "
         "\"widen_clash_walks\": %llu, \"widen_clashes\": %llu, "
         "\"widen_cycle_introductions\": %llu, \"widen_replacements\": %llu, "
@@ -210,9 +209,7 @@ bool writeJson(const std::vector<Table3Row> &Rows, bool PerProgramRss,
         cacheHitRate(Row.Base),
         static_cast<unsigned long long>(S.InternedGraphs),
         static_cast<unsigned long long>(S.EntryLookups),
-        static_cast<unsigned long long>(S.EntryCompares),
-        static_cast<unsigned long long>(S.RecomputesSkipped),
-        Row.PeakRssKb,
+        static_cast<unsigned long long>(S.EntryCompares), Row.PeakRssKb,
         static_cast<unsigned long long>(W.Invocations),
         static_cast<unsigned long long>(W.CacheHits),
         static_cast<unsigned long long>(W.ClashWalks),

@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 
 namespace gaia {
@@ -67,12 +66,6 @@ struct EngineOptions {
   /// handler. Null = never cancelled. Non-owning: the pointee must
   /// outlive the engine run.
   const CancelSignal *Cancel = nullptr;
-  /// Expected memo-table size, typically derived from the entry's
-  /// static call cone (the SCC pass computes the cone anyway). When
-  /// nonzero the engine pre-sizes Entries/ByPred/ByKey/Stack instead of
-  /// growing them through repeated reallocation on the solve hot path.
-  /// 0 = no reserve (the pre-reserve behavior, kept for A/B runs).
-  size_t ExpectedEntries = 0;
 };
 
 /// Process-global GAIA_TRACE flag, computed once. Engines used to call
@@ -101,9 +94,6 @@ struct EngineStats {
   /// compared every same-predicate entry on every lookup).
   uint64_t EntryLookups = 0;
   uint64_t EntryCompares = 0;
-  /// Dirty recomputations skipped because every recorded dependency
-  /// still had its recorded version (the invalidation was spurious).
-  uint64_t RecomputesSkipped = 0;
   /// Times a fixpoint loop exhausted EngineOptions::MaxFixpointRounds
   /// and fell back to a top output. Nonzero means the result is a sound
   /// over-approximation but the analysis did not converge normally.
@@ -125,65 +115,10 @@ struct EngineStats {
   uint64_t PfSetHits = 0;
   uint64_t PfSetMisses = 0;
   uint64_t PfSetSharedHits = 0;
-  /// SCC-scheduled parallel mode (gaia/SccScheduler.h), zero for
-  /// sequential runs: strongly-connected components in the entry's
-  /// static call cone, the peak number of concurrently busy speculation
-  /// workers, and the demands the parent thread solved inline because
-  /// they fell outside the speculated cone (the escape hatch).
-  uint32_t SccCount = 0;
-  uint32_t SccParallelism = 0;
-  uint64_t SccFallbackSolves = 0;
   double pfSetHitRate() const {
     uint64_t Total = PfSetHits + PfSetMisses + PfSetSharedHits;
     return Total ? double(PfSetHits + PfSetSharedHits) / double(Total) : 0.0;
   }
-};
-
-/// Hint channel of the SCC-scheduled parallel mode. The engine stays a
-/// strictly sequential algorithm; a hint provider (gaia/SccScheduler.h)
-/// may accelerate it through exactly two result-preserving seams:
-///
-///   - atCheckpoint(): called at the same per-round checkpoints the
-///     cancellation poll uses. The provider absorbs speculative workers'
-///     exact op-cache deltas here; by the cache-exactness invariant this
-///     can only turn misses into hits, never change a result.
-///   - tryAdopt(): called when solveCall is about to create the memo
-///     entry (Pred, In). The provider may hand back a *pack* — the full
-///     memo table of a finished from-empty solve of exactly (Pred, In),
-///     in creation order — under a guard (checked via \p Fresh) that
-///     makes installing it byte-equivalent to the compute the engine
-///     would otherwise run (see DESIGN.md "Intra-analysis parallelism").
-///
-/// All calls happen on the engine's own thread.
-template <typename Leaf> class EngineHints {
-public:
-  using Sub = PatSub<Leaf>;
-  /// One adoptable memo entry; packs list them in creation order with
-  /// the solved root first.
-  struct PackEntry {
-    FunctorId Pred = InvalidFunctor;
-    Sub In = Sub::bottom(0);
-    Sub Out = Sub::bottom(0);
-  };
-
-  virtual ~EngineHints() = default;
-  virtual void atCheckpoint() {}
-  /// \p Fresh reports whether the engine has no memo entry at all for a
-  /// predicate (the adoption guard must hold for every predicate a pack
-  /// touches, including \p Pred itself). On success fills \p Out and
-  /// returns true.
-  virtual bool tryAdopt(FunctorId Pred, const Sub &In,
-                        const std::function<bool(FunctorId)> &Fresh,
-                        std::vector<PackEntry> &Out) {
-    (void)Pred;
-    (void)In;
-    (void)Fresh;
-    (void)Out;
-    return false;
-  }
-  /// The engine created (Pred, In) inline — either no pack covered it
-  /// or the guard failed. Lets the provider count escape-hatch solves.
-  virtual void noteInlineEntry(FunctorId Pred) { (void)Pred; }
 };
 
 template <typename Leaf> class Engine {
@@ -200,20 +135,7 @@ public:
 
   Engine(const NProgram &Prog, const Ctx &C,
          const EngineOptions &Opts = {})
-      : Prog(Prog), C(C), Opts(Opts), Trace(engineTraceEnabled()) {
-    if (Opts.ExpectedEntries != 0) {
-      // Pre-size the memo structures from the call-cone estimate so the
-      // solve loop does not grow them through repeated reallocation.
-      Entries.reserve(Opts.ExpectedEntries);
-      ByPred.reserve(Opts.ExpectedEntries);
-      ByKey.reserve(Opts.ExpectedEntries);
-      Stack.reserve(Opts.ExpectedEntries);
-    }
-  }
-
-  /// Installs the parallel mode's hint provider (null = sequential, the
-  /// default). Non-owning; the provider must outlive the solve.
-  void setHints(EngineHints<Leaf> *H) { Hints = H; }
+      : Prog(Prog), C(C), Opts(Opts), Trace(engineTraceEnabled()) {}
 
   /// Analyzes the query \p Pred with input pattern \p In (one slot per
   /// argument) and returns the output pattern.
@@ -234,28 +156,25 @@ private:
     FunctorId Pred = InvalidFunctor;
     Sub In = Sub::bottom(0);
     Sub Out = Sub::bottom(0);
-    uint64_t Version = 0;
     bool Computed = false;
     bool Dirty = true;
     bool OnStack = false;
     bool UsedRecursively = false;
-    /// Callee -> latest version read this pass. Hub predicates can
-    /// accumulate hundreds of dependencies; the hybrid map keeps
-    /// recordDep O(1) instead of a per-call linear scan.
-    SmallPtrMap<Entry, uint64_t> Deps;
+    /// Callees read this pass. Hub predicates can accumulate hundreds
+    /// of dependencies; the hybrid set keeps recordDep O(1) instead of a
+    /// per-call linear scan.
+    SmallPtrSet<Entry> Deps;
     /// Entries whose last pass used this one (reverse of Deps).
     SmallPtrSet<Entry> Dependents;
   };
 
   Entry *solveCall(FunctorId Pred, Sub In, Entry *Caller);
-  bool tryAdoptPack(FunctorId Pred, const Sub &In, Entry **RootOut);
   void compute(Entry *E);
   Sub analyzeClause(const NClause &Cl, const Sub &In, Entry *E);
   void invalidateDependents(Entry *Changed);
   Entry *findEntry(FunctorId Pred, const Sub &In);
   uint64_t entryKey(FunctorId Pred, const Sub &In) const;
   void recordDep(Entry *From, Entry *To);
-  bool depsUnchanged(const Entry *E) const;
   void abortFixpoint(Entry *E);
 
   const NProgram &Prog;
@@ -272,10 +191,6 @@ private:
   std::unordered_map<uint64_t, std::vector<Entry *>> ByKey;
   std::vector<Entry *> Stack;
   EngineStats Stats;
-  /// Parallel-mode hint provider (null for sequential runs).
-  EngineHints<Leaf> *Hints = nullptr;
-  /// Reused buffer for pack adoption (avoids a per-adoption allocation).
-  std::vector<typename EngineHints<Leaf>::PackEntry> AdoptScratch;
 };
 
 //===----------------------------------------------------------------------===//
@@ -308,21 +223,8 @@ typename Engine<Leaf>::Entry *Engine<Leaf>::findEntry(FunctorId Pred,
 
 template <typename Leaf>
 void Engine<Leaf>::recordDep(Entry *From, Entry *To) {
-  // One Deps slot per callee, holding the latest version read. A pass
-  // that read two different versions of the same callee was dirtied in
-  // between and repeats, so only the final version matters for the
-  // depsUnchanged check.
-  bool Inserted;
-  From->Deps.lookupOrInsert(To, Inserted) = To->Version;
+  From->Deps.insert(To);
   To->Dependents.insert(From);
-}
-
-template <typename Leaf>
-bool Engine<Leaf>::depsUnchanged(const Entry *E) const {
-  for (const auto &[D, V] : E->Deps)
-    if (D->Dirty || D->Version != V)
-      return false;
-  return true;
 }
 
 template <typename Leaf> void Engine<Leaf>::abortFixpoint(Entry *E) {
@@ -331,7 +233,6 @@ template <typename Leaf> void Engine<Leaf>::abortFixpoint(Entry *E) {
   // (dirty) approximation as if final would be unsound.
   ++Stats.FixpointAborts;
   E->Out = Sub::top(C, E->In.numSlots());
-  ++E->Version;
   invalidateDependents(E);
   E->Dirty = false;
 }
@@ -347,18 +248,8 @@ typename Engine<Leaf>::Sub Engine<Leaf>::solve(FunctorId Pred,
   while (E->Dirty) {
     if (Opts.Cancel)
       Opts.Cancel->poll();
-    if (Hints)
-      Hints->atCheckpoint();
     if (Rounds++ >= Opts.MaxFixpointRounds) {
       abortFixpoint(E);
-      break;
-    }
-    if (depsUnchanged(E)) {
-      // Spurious invalidation: every dependency still has the version
-      // this entry's last pass observed, so recomputing cannot change
-      // the output.
-      ++Stats.RecomputesSkipped;
-      E->Dirty = false;
       break;
     }
     compute(E);
@@ -405,17 +296,6 @@ Engine<Leaf>::solveCall(FunctorId Pred, Sub In, Entry *Caller) {
 
   Entry *E = findEntry(Pred, In);
   if (!E) {
-    // Parallel mode: a speculative worker may already have solved
-    // exactly (Pred, In) from an empty table. Under the adoption guard
-    // installing its pack is byte-equivalent to the compute below, so
-    // the memo table (entries, creation order, cap anchors) evolves
-    // bit-identically to the sequential run — only the skipped
-    // ProcedureIterations/ClauseIterations work counters differ.
-    if (Hints && tryAdoptPack(Pred, In, &E)) {
-      if (Caller)
-        recordDep(Caller, E);
-      return E;
-    }
     Entries.push_back(std::make_unique<Entry>());
     E = Entries.back().get();
     E->Pred = Pred;
@@ -424,8 +304,6 @@ Engine<Leaf>::solveCall(FunctorId Pred, Sub In, Entry *Caller) {
     ByPred[Pred].push_back(E);
     ByKey[entryKey(Pred, E->In)].push_back(E);
     ++Stats.InputPatterns;
-    if (Hints)
-      Hints->noteInlineEntry(Pred);
     if (Trace)
       std::fprintf(stderr, "[gaia] new input pattern for %s (from %s):\n%s",
                    C.Syms.functorString(Pred).c_str(),
@@ -440,66 +318,14 @@ Engine<Leaf>::solveCall(FunctorId Pred, Sub In, Entry *Caller) {
       recordDep(Caller, E);
     return E; // current approximation
   }
-  if (E->Computed && E->Dirty && depsUnchanged(E)) {
-    // Version-checked skip: the entry was invalidated transitively, but
-    // every direct dependency still carries the version its last pass
-    // used — the output cannot change, so don't recompute it.
-    ++Stats.RecomputesSkipped;
-    E->Dirty = false;
-  } else if (!E->Computed || E->Dirty) {
+  if (!E->Computed || E->Dirty)
     compute(E);
-  }
-  // Record the dependency *after* the entry settles, so the version the
-  // caller stores is the version whose output it actually reads —
-  // recording before compute would make the first depsUnchanged check
-  // after any settle see a spurious mismatch.
+  // Record the dependency *after* the entry settles: the caller reads
+  // only the settled output, so the changes compute made on the way
+  // must not dirty it.
   if (Caller)
     recordDep(Caller, E);
   return E;
-}
-
-template <typename Leaf>
-bool Engine<Leaf>::tryAdoptPack(FunctorId Pred, const Sub &In,
-                                Entry **RootOut) {
-  AdoptScratch.clear();
-  auto Fresh = [this](FunctorId Q) {
-    auto It = ByPred.find(Q);
-    return It == ByPred.end() || It->second.empty();
-  };
-  if (!Hints->tryAdopt(Pred, In, Fresh, AdoptScratch) ||
-      AdoptScratch.empty())
-    return false;
-  Entry *Root = nullptr;
-  for (auto &PE : AdoptScratch) {
-    Entries.push_back(std::make_unique<Entry>());
-    Entry *E = Entries.back().get();
-    E->Pred = PE.Pred;
-    E->In = std::move(PE.In);
-    E->Out = std::move(PE.Out);
-    // Adopted entries are final: their cone reached its fixpoint in the
-    // pack's from-empty solve, and (as in a sequential run, where fully
-    // converged subtrees record no dependencies that can still change)
-    // nothing can dirty them afterwards.
-    E->Version = 1;
-    E->Computed = true;
-    E->Dirty = false;
-    ByPred[E->Pred].push_back(E);
-    ByKey[entryKey(E->Pred, E->In)].push_back(E);
-    ++Stats.InputPatterns;
-    if (!Root)
-      Root = E; // packs list the solved root first
-  }
-  AdoptScratch.clear();
-  assert(Root->Pred == Pred && Sub::equal(C, Root->In, In) &&
-         "pack root must be the entry being created");
-  (void)Pred;
-  (void)In;
-  if (Trace)
-    std::fprintf(stderr, "[gaia] adopted pack for %s (%zu entries)\n",
-                 C.Syms.functorString(Root->Pred).c_str(),
-                 Entries.size());
-  *RootOut = Root;
-  return true;
 }
 
 template <typename Leaf> void Engine<Leaf>::compute(Entry *E) {
@@ -512,30 +338,27 @@ template <typename Leaf> void Engine<Leaf>::compute(Entry *E) {
   while (true) {
     if (Opts.Cancel)
       Opts.Cancel->poll();
-    if (Hints)
-      Hints->atCheckpoint();
     E->Dirty = false;
     E->UsedRecursively = false;
     // Unlink the reverse edges of the previous pass before rebuilding
     // Deps: a callee this pass no longer reads must not keep E in its
-    // Dependents set, or its future version bumps would keep spuriously
-    // dirtying E (and re-running the depsUnchanged scan) for the rest of
-    // the run. Dropped dependencies are common — polyvariant entries
-    // migrate as call patterns evolve along a recursion.
-    for (const auto &[Dep, Version] : E->Deps)
+    // Dependents set, or its future changes would keep spuriously
+    // dirtying (and recomputing) E for the rest of the run. Dropped
+    // dependencies are common — polyvariant entries migrate as call
+    // patterns evolve along a recursion.
+    for (Entry *Dep : E->Deps)
       Dep->Dependents.erase(E);
     E->Deps.clear();
     ++Stats.ProcedureIterations;
     ++LocalRounds;
     if (Trace)
       std::fprintf(stderr,
-                   "[gaia] pass %llu: %s (entry v%llu, round %u, "
-                   "stack %zu, entries %zu)\n",
+                   "[gaia] pass %llu: %s (round %u, stack %zu, "
+                   "entries %zu)\n",
                    static_cast<unsigned long long>(
                        Stats.ProcedureIterations),
-                   C.Syms.functorString(E->Pred).c_str(),
-                   static_cast<unsigned long long>(E->Version),
-                   LocalRounds, Stack.size(), Entries.size());
+                   C.Syms.functorString(E->Pred).c_str(), LocalRounds,
+                   Stack.size(), Entries.size());
 
     Sub NewOut = Sub::bottom(E->In.numSlots());
     for (const NClause &Cl : Proc->Clauses) {
@@ -549,7 +372,6 @@ template <typename Leaf> void Engine<Leaf>::compute(Entry *E) {
     bool Changed = !Sub::leq(C, Widened, E->Out);
     if (Changed) {
       E->Out = std::move(Widened);
-      ++E->Version;
       invalidateDependents(E);
     }
     // Repeat while this entry participates in recursion and its result
@@ -638,9 +460,9 @@ Engine<Leaf>::analyzeClause(const NClause &Cl, const Sub &In, Entry *E) {
 template <typename Leaf>
 void Engine<Leaf>::invalidateDependents(Entry *Changed) {
   // Mark (transitively) every entry that used Changed. Transitive
-  // dependents must be marked even though the intermediate entry's
-  // version has not been bumped yet: recomputing it may change it, so
-  // anything built on it is suspect.
+  // dependents must be marked even though the intermediate entry has
+  // not changed yet: recomputing it may change it, so anything built on
+  // it is suspect.
   std::vector<Entry *> Work{Changed};
   while (!Work.empty()) {
     Entry *X = Work.back();

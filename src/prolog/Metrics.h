@@ -40,17 +40,13 @@ struct RecursionMetrics {
   uint32_t NonRecursive = 0;
 };
 
-// CallGraph (with SCCs and the scheduler-facing condensation) lives in
-// prolog/CallGraph.h; Metrics is one of its two clients.
-
 /// Computes the Table 1 metrics. \p Entry is the benchmark's top-level
 /// predicate (the root of the static call tree).
 SizeMetrics computeSizeMetrics(const Program &Prog, const NProgram &NProg,
                                SymbolTable &Syms, FunctorId Entry);
 
-/// Overload for callers that already built the call graph (the analyzer
-/// builds one anyway for the engine's call-cone reserve and the
-/// parallel scheduler); identical results, one construction.
+/// Overload for callers that already built the call graph; identical
+/// results, one construction.
 SizeMetrics computeSizeMetrics(const Program &Prog, const NProgram &NProg,
                                SymbolTable &Syms, FunctorId Entry,
                                const CallGraph &CG);

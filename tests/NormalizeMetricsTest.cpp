@@ -6,10 +6,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "programs/Benchmarks.h"
 #include "prolog/Metrics.h"
 #include "prolog/Normalize.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace gaia;
 
@@ -236,6 +239,43 @@ TEST_F(MetricsTest, SCCsAreComputed) {
     (S.size() > 1 ? Big : Single) += 1;
   EXPECT_EQ(Big, 1u);
   EXPECT_EQ(Single, 2u);
+}
+
+TEST_F(MetricsTest, PinnedSccs) {
+  load("a(X) :- b(X).\n"
+       "b(X) :- c(X), d(X).\n"
+       "c(X) :- b(X).\n"
+       "c(0).\n"
+       "d(1).\n"
+       "e(X) :- e(X).\n");
+  CallGraph CG(Prog, Syms);
+  // Only the component sets are pinned, not Tarjan's emission order.
+  std::set<std::set<FunctorId>> Got;
+  for (const auto &S : CG.stronglyConnectedComponents())
+    Got.insert(std::set<FunctorId>(S.begin(), S.end()));
+  auto Fn = [&](const char *Name) { return Syms.functor(Name, 1); };
+  std::set<std::set<FunctorId>> Want = {
+      {Fn("a")}, {Fn("b"), Fn("c")}, {Fn("d")}, {Fn("e")}};
+  EXPECT_EQ(Got, Want);
+}
+
+TEST_F(MetricsTest, SccsConsistentWithRecursionClassifier) {
+  // The Table 2 classifier and the SCCs must agree: a predicate is in a
+  // component of size > 1 iff the classifier calls it mutually
+  // recursive.
+  for (const BenchmarkProgram &B : table123Suite()) {
+    SymbolTable S;
+    std::string Err;
+    std::optional<Program> P = Program::parse(B.Source, S, &Err);
+    ASSERT_TRUE(P.has_value()) << B.Key << ": " << Err;
+    CallGraph CG(*P, S);
+    uint32_t InBigScc = 0;
+    for (const auto &Scc : CG.stronglyConnectedComponents())
+      if (Scc.size() > 1)
+        InBigScc += static_cast<uint32_t>(Scc.size());
+    RecursionMetrics M = classifyRecursion(*P, S);
+    EXPECT_EQ(InBigScc, M.MutuallyRecursive) << B.Key;
+  }
 }
 
 } // namespace
