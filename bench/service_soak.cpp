@@ -16,7 +16,7 @@
 ///     bit-identical to the sequential oracle fingerprint;
 ///   - p50/p99 submission-to-fulfillment latency of the jobs that ran;
 ///   - after the 1x leg, the post-drain promoted tier must serve the
-///     full query mix bit-identically (lifecycle rotation intact).
+///     full query mix bit-identically (promotion intact).
 ///
 /// When built -DGAIA_FAULT_INJECT=ON the 2x leg runs under chaos: fault
 /// probes armed, rare long stalls (the blind-sleep pathology that
@@ -195,8 +195,8 @@ LegResult runLeg(double Multiple, double CapacityJps, bool Chaos,
     Leg.P99Ms = percentile(Latencies, 0.99);
 
     if (VerifyTierAfterDrain && TierIdentical) {
-      // The lifecycle rotation must be observationally invisible: the
-      // promoted tier serves the full mix bit-identically.
+      // Promotion must be observationally invisible: the promoted tier
+      // serves the full mix bit-identically.
       *TierIdentical = true;
       PoolOptions PO;
       PO.Workers = C.Workers;

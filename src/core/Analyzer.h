@@ -90,8 +90,8 @@ struct AnalyzerOptions {
   /// either way (the tier is exact), only timings change.
   std::shared_ptr<const SharedCache> Shared;
   /// Harvest the hot part of the job's private delta cache into
-  /// AnalysisResult::Delta after the run (runtime/TierLifecycle.h feeds
-  /// those into SharedCache::promoteAndRefreeze). Requires the type-graph
+  /// AnalysisResult::Delta after the run (callers pass those to
+  /// SharedCache::promoteAndRefreeze). Requires the type-graph
   /// domain with UseOpCache; ignored otherwise. Collection never changes
   /// the analysis result — only what survives the job.
   bool CollectDelta = false;

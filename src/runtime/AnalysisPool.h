@@ -39,7 +39,7 @@ struct PoolOptions {
   AnalyzerOptions Opts;
   /// Harvest each job's hot delta-cache entries into
   /// JobOutcome::Result.Delta (AnalyzerOptions::CollectDelta per job).
-  /// The lifecycle controller feeds them into promoteAndRefreeze.
+  /// The caller passes them to SharedCache::promoteAndRefreeze.
   bool CollectDeltas = false;
   /// Per-entry hit threshold for the harvest.
   uint32_t DeltaMinHits = 2;
@@ -52,7 +52,7 @@ struct PoolOptions {
 };
 
 // JobOutcome — one finished job — lives in runtime/Resilience.h so the
-// whole containment stack (pool, service, lifecycle) shares one result
+// whole containment stack (pool, ladder, service) shares one result
 // shape.
 
 /// Aggregate figures for one run() call.
@@ -103,10 +103,10 @@ public:
                               BatchStats *Stats = nullptr);
 
   /// Replaces the shared tier jobs of subsequent batches read through.
-  /// Safe between run() calls (the tier-lifecycle rotation point): run()
-  /// is not re-entrant, so no batch is in flight, and parked workers
-  /// re-acquire the pool mutex before touching options — the store here
-  /// happens-before their next claim.
+  /// Safe between run() calls (where a caller installs a promoted tier):
+  /// run() is not re-entrant, so no batch is in flight, and parked
+  /// workers re-acquire the pool mutex before touching options — the
+  /// store here happens-before their next claim.
   void setShared(std::shared_ptr<const SharedCache> Shared);
 
 private:

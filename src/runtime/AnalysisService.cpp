@@ -77,9 +77,6 @@ struct AnalysisService::Impl {
     if (Options.QueueCapacity == 0)
       Options.QueueCapacity = 1;
     Tier = Options.Shared;
-    if (Tier)
-      Lifecycle =
-          std::make_unique<TierLifecycle>(Tier, Options.Lifecycle);
   }
 
   /// One admitted-but-unstarted job.
@@ -134,10 +131,9 @@ struct AnalysisService::Impl {
   OverloadState State = OverloadState::Healthy;
   double EwmaJobMs = 0;
 
-  /// Deltas harvested from completed jobs, for the drain-time rotation.
+  /// Deltas harvested from completed jobs, for the drain-time promotion.
   std::vector<std::shared_ptr<const CacheDelta>> Deltas;
-  std::unique_ptr<TierLifecycle> Lifecycle; ///< null when tierless
-  std::shared_ptr<const SharedCache> Tier;  ///< guarded by M after drain
+  std::shared_ptr<const SharedCache> Tier; ///< guarded by M after drain
 };
 
 AnalysisService::AnalysisService(ServiceOptions Options)
@@ -484,15 +480,9 @@ void AnalysisService::drain(std::chrono::milliseconds FlushBudget) {
 
   {
     std::lock_guard<std::mutex> L(In->M);
-    if (In->Lifecycle) {
-      // The rotation reads only Result.Delta from each outcome, so the
-      // harvested deltas are wrapped in minimal JobOutcome shells.
-      std::vector<JobOutcome> Wrap(In->Deltas.size());
-      for (size_t I = 0; I != In->Deltas.size(); ++I)
-        Wrap[I].Result.Delta = In->Deltas[I];
-      In->Deltas.clear();
-      In->Tier = In->Lifecycle->endBatch(Wrap);
-    }
+    if (In->Tier && !In->Deltas.empty())
+      In->Tier = In->Tier->promoteAndRefreeze(In->Deltas);
+    In->Deltas.clear();
     In->Drained = true;
   }
 }
@@ -534,7 +524,3 @@ std::shared_ptr<const SharedCache> AnalysisService::tier() const {
   return In->Tier;
 }
 
-LifecycleStats AnalysisService::lifecycleStats() const {
-  std::lock_guard<std::mutex> L(In->M);
-  return In->Lifecycle ? In->Lifecycle->stats() : LifecycleStats{};
-}

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// The resident serving layer over the AnalysisPool/ResilienceManager/
-/// TierLifecycle stack: where AnalysisPool::run dispatches one fixed
+/// SharedCache stack: where AnalysisPool::run dispatches one fixed
 /// batch and blocks, AnalysisService accepts a continuous stream of
 /// submissions and makes *load* — not just individual jobs — unable to
 /// take the process down. Design (see DESIGN.md, "Serving and
@@ -33,10 +33,12 @@
 ///     comes home.
 ///   - a graceful lifecycle: drain(budget) closes admission, flushes
 ///     the queue for up to the budget, sheds the remainder with
-///     structured results, runs the TierLifecycle::endBatch promotion
-///     path over the deltas completed jobs harvested, and joins the
-///     workers. The post-drain tier serves a fresh batch bit-identically
-///     (caching is observationally invisible; see ROADMAP).
+///     structured results, joins the workers, and promotes the deltas
+///     completed jobs harvested into a new tier
+///     (SharedCache::promoteAndRefreeze); the tier the service was built
+///     over is only read. The post-drain tier serves a fresh batch
+///     bit-identically (caching is observationally invisible; see
+///     ROADMAP).
 ///
 /// All queue-side time arithmetic goes through ServiceClock
 /// (support/Clock.h) so tests can age the queue without sleeping.
@@ -48,7 +50,6 @@
 
 #include "runtime/Resilience.h"
 #include "runtime/SharedCache.h"
-#include "runtime/TierLifecycle.h"
 #include "support/Clock.h"
 
 #include <chrono>
@@ -91,14 +92,12 @@ struct ServiceOptions {
   /// the queue runs with only its remaining budget.
   AnalyzerOptions Opts;
   /// Initial frozen shared tier (may be null: jobs run cold and drain()
-  /// skips the lifecycle rotation).
+  /// promotes nothing).
   std::shared_ptr<const SharedCache> Shared;
   /// Optional retry-with-degradation ladder, as in PoolOptions.
   std::shared_ptr<ResilienceManager> Resilience;
-  /// Lifecycle policy for the drain-time endBatch rotation.
-  LifecyclePolicy Lifecycle;
-  /// Harvest hot delta-cache entries from completed jobs; drain()'s
-  /// rotation promotes them into the next tier.
+  /// Harvest hot delta-cache entries from completed jobs; drain()
+  /// promotes them into the next tier.
   bool CollectDeltas = false;
   uint32_t DeltaMinHits = 2;
   /// Overload state machine: Saturated when queue depth reaches this
@@ -245,21 +244,19 @@ public:
   /// Rejected), lets workers flush the queue for up to \p FlushBudget
   /// of real wall time, sheds whatever is still queued with structured
   /// Rejected results, cancels in-flight jobs past the budget, joins
-  /// the workers and the watchdog, and runs the TierLifecycle::endBatch
-  /// promotion over the harvested deltas. Call at most once (the
-  /// destructor calls it with a zero budget if needed); a stuck worker
-  /// that the watchdog already detached does not block the join.
+  /// the workers and the watchdog, and promotes the harvested deltas
+  /// into a new tier (the tier the service was built over is left as it
+  /// was). Call at most once (the destructor calls it with a zero budget
+  /// if needed); a stuck worker that the watchdog already detached does
+  /// not block the join.
   void drain(std::chrono::milliseconds FlushBudget);
 
   bool drained() const;
 
   /// The current frozen tier: the construction-time tier until drain(),
-  /// the promoted one after. Null when the service was built tierless.
+  /// the promoted one after (the same tier when no job harvested a
+  /// delta). Null when the service was built tierless.
   std::shared_ptr<const SharedCache> tier() const;
-
-  /// Lifecycle counters for the drain-time rotation (zeros when the
-  /// service was built tierless).
-  LifecycleStats lifecycleStats() const;
 
 private:
   struct Impl;

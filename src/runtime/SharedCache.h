@@ -18,7 +18,7 @@
 ///     result the warmup computed, keyed on frozen canonical ids;
 ///   - pre-primed TypeLeaf constants whose intern caches carry the
 ///     frozen tier's epoch, so every job's constant uses are O(1) from
-///     the first touch.
+///     the first use.
 ///
 /// Jobs lay a private mutable delta (their own GraphInterner/OpCache)
 /// over the tier; misses fall through and are recorded privately, so
@@ -39,7 +39,6 @@
 
 #include "core/Analyzer.h"
 #include "domains/TypeLeaf.h"
-#include "support/Relocation.h"
 #include "typegraph/CacheDelta.h"
 #include "typegraph/OpCache.h"
 
@@ -56,25 +55,16 @@ struct AnalysisJob {
   std::string GoalSpec; ///< input pattern, e.g. "nreverse(any,any)"
 };
 
-/// Generational-compaction policy (see compactAndRefreeze).
-struct CompactionPolicy {
-  /// An entry survives when its last touch is within this many
-  /// generations of the tier's current one (0 = current generation
-  /// only). Generations advance via TierLifecycle between batches.
-  uint32_t KeepGens = 1;
-};
-
 /// Immutable after construction; share one instance across any number of
 /// concurrent workers via shared_ptr (AnalyzerOptions::Shared).
 ///
-/// Tier lifecycle (DESIGN.md "Tier lifecycle"): build() freezes a warmup
-/// into tier N; promoteAndRefreeze stacks hot worker-delta entries into
-/// tier N+1 (ids preserved); compactAndRefreeze rebuilds a tier keeping
-/// only generationally-live entries, renumbering the dense id spaces
-/// through explicit RelocationTables. All three produce observationally
-/// identical analysis results — every cached entry is an exact pure
-/// function of operand languages, so presence or absence of an entry
-/// changes only timing, never output.
+/// Tier promotion (DESIGN.md "Tier promotion"): build() freezes a warmup
+/// into tier N, optionally stacked on a previous tier; promoteAndRefreeze
+/// stacks hot worker-delta entries into tier N+1. Both preserve every id
+/// of the tier underneath, and both produce observationally identical
+/// analysis results — every cached entry is an exact pure function of
+/// operand languages, so presence or absence of an entry changes only
+/// timing, never output.
 class SharedCache {
 public:
   struct BuildStats {
@@ -86,19 +76,15 @@ public:
     uint32_t Symbols = 0;      ///< symbol-table snapshot size
     bool AllConverged = true;  ///< every warmup analysis converged
     /// Deterministic byte estimate of the frozen tier's resident data
-    /// (graphs, buckets, op maps, pf pool) — the figure the lifecycle
-    /// budget and the bench plateau gate act on. An estimate because
-    /// node storage is heap-side shared_ptr blocks; exact arena bytes
-    /// are reported separately under GAIA_AUDIT.
+    /// (graphs, buckets, op maps, pf pool). An estimate because node
+    /// storage is heap-side shared_ptr blocks; exact arena bytes are
+    /// reported separately under GAIA_AUDIT.
     uint64_t TierBytes = 0;
     /// Exact bytes in the mprotect-sealed tier arenas (GAIA_AUDIT
     /// builds; 0 otherwise).
     uint64_t ArenaBytes = 0;
-    /// Entries newly recorded from absorbed deltas (promotion) or kept
-    /// through a rebuild (compaction).
+    /// Entries newly recorded from absorbed deltas (promotion only).
     uint64_t AbsorbedEntries = 0;
-    /// Graph ids dropped by compaction (0 for build/promotion).
-    uint64_t DroppedGraphs = 0;
   };
 
   /// Runs \p Warmup sequentially under \p Opts against one accumulating
@@ -114,26 +100,11 @@ public:
   /// Builds tier N+1 from this tier plus the surviving hot entries of
   /// \p Deltas (harvested from jobs that ran over this tier — see
   /// AnalyzerOptions::CollectDelta). Stacking: every id of this tier is
-  /// preserved, absorbed entries append past them, and the touch history
-  /// carries over so compaction liveness spans refreezes. Null deltas in
-  /// the vector are skipped. The promoted tier serves bit-identical
-  /// results: absorbed entries are exact.
+  /// preserved and absorbed entries append past them; this tier is left
+  /// as it was. Null deltas in the vector are skipped. The promoted tier
+  /// serves bit-identical results: absorbed entries are exact.
   std::shared_ptr<const SharedCache> promoteAndRefreeze(
       const std::vector<std::shared_ptr<const CacheDelta>> &Deltas) const;
-
-  /// Rebuilds the tier keeping only entries whose operand/result graph
-  /// ids were all touched within \p Policy.KeepGens generations of the
-  /// current one. Survivors are renumbered densely; \p GraphReloc (when
-  /// non-null) receives the old-id -> new-id table, with dropped ids
-  /// mapping to RelocationTable::Dropped. Pf-sets are re-derived from
-  /// the surviving graphs (their ids are rebuilt, not relocated), and
-  /// the symbol table is kept whole — functor ids are stable for the
-  /// cache's lifetime, which is what makes promotion cheap. The
-  /// compacted tier is observationally invisible: dropped entries are
-  /// recomputed on demand and recomputation is exact.
-  std::shared_ptr<const SharedCache>
-  compactAndRefreeze(const CompactionPolicy &Policy,
-                     RelocationTable<CanonId> *GraphReloc = nullptr) const;
 
   /// The deterministic tier byte estimate (stats().TierBytes).
   uint64_t tierBytes() const { return St.TierBytes; }
@@ -163,7 +134,7 @@ public:
 private:
   SharedCache() = default;
 
-  /// Shared tail of build / promote / compact: primes the leaf constants
+  /// Shared tail of build / promote: primes the leaf constants
   /// against the freshly frozen tier, warms the functor-rank memo, and
   /// fills the size and byte figures of St.
   void primeAndFillStats();

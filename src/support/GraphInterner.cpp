@@ -141,17 +141,14 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
     ++St.IdHits;
     CanonId Id = G.internId();
     // A shared-tier id can be cached under this interner's own epoch
-    // (alias shapes recorded privately resolve to tier ids), so the
-    // liveness signal routes on the id, not on the cache's epoch.
-    if (Id < Base)
-      Shared->touch(Id);
-    else
+    // (alias shapes recorded privately resolve to tier ids), so the heat
+    // tick routes on the id, not on the cache's epoch.
+    if (Id >= Base)
       ++DeltaHits[Id - Base];
     return Id;
   }
   if (Shared && G.internEpoch() == Shared->Epoch) {
     ++St.SharedHits;
-    Shared->touch(G.internId());
     return G.internId();
   }
 
@@ -172,7 +169,6 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
       for (const auto &[Rep, Id] : BucketIt->second)
         if (structuralEqual(*Rep, G)) {
           ++St.SharedHits;
-          Shared->touch(Id);
           G.setInternCache(Shared->Epoch, Id);
           return Id;
         }
@@ -183,9 +179,7 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
     if (structuralEqual(*Rep, G)) {
       ++St.StructHits;
       G.setInternCache(Epoch, Id);
-      if (Id < Base)
-        Shared->touch(Id);
-      else
+      if (Id >= Base)
         ++DeltaHits[Id - Base];
       return Id;
     }
@@ -197,7 +191,6 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
       // New shape of a language the shared tier knows: record the shape
       // privately so the next structural lookup short-circuits.
       ++St.SharedHits;
-      Shared->touch(SharedIt->second);
       Aliases.push_back(G);
       Bucket.emplace_back(&Aliases.back(), SharedIt->second);
       G.setInternCache(Shared->Epoch, SharedIt->second);
@@ -234,19 +227,13 @@ GraphInterner::freeze(bool SealStorage) const {
   FrozenInternTier::Builder B;
   B.Epoch = nextInternerEpoch();
 
-  // Stacking preserves every id: the relocation from the (shared tier +
-  // delta) id space into the new tier is the identity table. Compaction
-  // (runtime/SharedCache.cpp) is the rebuild with a non-trivial table;
-  // both route every cross-tier id through the RelocationTable API, per
-  // the gaia-lint relocation-remap rule.
-  const RelocationTable<CanonId> Reloc =
-      RelocationTable<CanonId>::identity(size());
-
   // Canonical graphs: the shared tier's prefix plus this interner's
-  // private delta, at their relocated ids. Fill the vector completely
-  // before taking pointers into it for the buckets (the final move into
-  // the tier steals the buffer, so the pointers stay valid).
-  B.Canon.reserve(Reloc.size());
+  // private delta. Stacking preserves every id — the delta's ids already
+  // start at the tier's size — so ids carry over as they are. Fill the
+  // vector completely before taking pointers into it for the buckets
+  // (the final move into the tier steals the buffer, so the pointers
+  // stay valid).
+  B.Canon.reserve(size());
   if (Shared)
     B.Canon.insert(B.Canon.end(), Shared->Canon.begin(),
                    Shared->Canon.end());
@@ -264,13 +251,12 @@ GraphInterner::freeze(bool SealStorage) const {
   auto AddBuckets = [&](const auto &Buckets, auto IsCanonical) {
     for (const auto &[Hash, Entries] : Buckets)
       for (const auto &[Rep, Id] : Entries) {
-        CanonId New = Reloc.map(Id);
         if (IsCanonical(Rep, Id)) {
-          B.StructBuckets[Hash].emplace_back(&B.Canon[New], New);
+          B.StructBuckets[Hash].emplace_back(&B.Canon[Id], Id);
         } else {
           B.Aliases.push_back(*Rep);
           structuralHash(B.Aliases.back());
-          B.StructBuckets[Hash].emplace_back(&B.Aliases.back(), New);
+          B.StructBuckets[Hash].emplace_back(&B.Aliases.back(), Id);
         }
       }
   };
@@ -283,10 +269,8 @@ GraphInterner::freeze(bool SealStorage) const {
   });
 
   if (Shared)
-    for (const auto &[Key, Id] : Shared->AutoMap)
-      B.AutoMap.emplace(Key, Reloc.map(Id));
-  for (const auto &[Key, Id] : AutoMap)
-    B.AutoMap.emplace(Key, Reloc.map(Id));
+    B.AutoMap.insert(Shared->AutoMap.begin(), Shared->AutoMap.end());
+  B.AutoMap.insert(AutoMap.begin(), AutoMap.end());
 
   auto T = std::make_shared<const FrozenInternTier>(std::move(B));
   if (SealStorage)

@@ -43,12 +43,9 @@
 
 #include "support/FrozenArena.h"
 #include "support/Hashing.h"
-#include "support/Relocation.h"
 #include "typegraph/Normalize.h"
 #include "typegraph/TypeGraph.h"
 
-#include <algorithm>
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <unordered_map>
@@ -125,8 +122,7 @@ struct FrozenInternTier {
       : Arena(std::move(B.Arena)), Epoch(B.Epoch),
         Canon(std::move(B.Canon)), Aliases(std::move(B.Aliases)),
         StructBuckets(std::move(B.StructBuckets)),
-        AutoMap(std::move(B.AutoMap)),
-        TouchGens(std::make_unique<std::atomic<uint32_t>[]>(Canon.size())) {}
+        AutoMap(std::move(B.AutoMap)) {}
 
   /// Container teardown writes into the storage it releases, so the last
   /// reference lifts the audit seal before the members destruct.
@@ -151,51 +147,8 @@ struct FrozenInternTier {
   const BucketMap StructBuckets;
   /// Serialized minimal automaton -> id.
   const AutoKeyMap AutoMap;
-  /// Per-id touch generations for compaction liveness (last generation
-  /// in which the id was resolved through this tier). Heap-side, never
-  /// in the audit arena: workers store into these relaxed-atomically
-  /// while the tier's language data stays sealed. The const unique_ptr
-  /// keeps the array itself immutable while its atomic elements remain
-  /// writable — the same shape as the language data's freeze contract
-  /// (the *index* never changes, only the usage bookkeeping ticks).
-  const std::unique_ptr<std::atomic<uint32_t>[]> TouchGens;
-  /// Current generation of the tier's lifecycle (advanced between
-  /// batches by the runtime's TierLifecycle, never mid-batch).
-  mutable std::atomic<uint32_t> CurrentGen{0};
 
   uint32_t size() const { return static_cast<uint32_t>(Canon.size()); }
-
-  /// Records a resolution of \p Id in the current generation. Relaxed:
-  /// liveness is a heuristic read only between batches.
-  void touch(CanonId Id) const {
-    TouchGens[Id].store(CurrentGen.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  }
-  uint32_t touchGeneration(CanonId Id) const {
-    return TouchGens[Id].load(std::memory_order_relaxed);
-  }
-  uint32_t generation() const {
-    return CurrentGen.load(std::memory_order_relaxed);
-  }
-  /// Starts a new generation window. Call only between batches (no
-  /// concurrent readers required, but safe with them).
-  uint32_t advanceGeneration() const {
-    return CurrentGen.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  /// Carries \p Prev's touch history into this tier after a stacking
-  /// refreeze (ids are preserved across stacking, so the common prefix
-  /// maps 1:1). Ids new in this tier count as touched now: they were
-  /// just promoted or interned by the freezing cache.
-  void seedTouchesFrom(const FrozenInternTier &Prev) const {
-    uint32_t Gen = Prev.generation();
-    CurrentGen.store(Gen, std::memory_order_relaxed);
-    uint32_t Common = std::min(size(), Prev.size());
-    for (CanonId Id = 0; Id != Common; ++Id)
-      TouchGens[Id].store(Prev.touchGeneration(Id),
-                          std::memory_order_relaxed);
-    for (CanonId Id = Common; Id < size(); ++Id)
-      TouchGens[Id].store(Gen, std::memory_order_relaxed);
-  }
 
   /// Seals the arena (audit builds): every later write to tier storage
   /// faults. No-op without GAIA_AUDIT. Idempotent; const because it only

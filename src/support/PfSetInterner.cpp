@@ -2,8 +2,6 @@
 
 #include "support/PfSetInterner.h"
 
-#include "support/Relocation.h"
-
 #include <algorithm>
 #include <atomic>
 #include <cassert>
@@ -91,25 +89,17 @@ bool PfSetInterner::subsetWalk(PfSetId A, PfSetId B) const {
 std::shared_ptr<const FrozenPfTier> PfSetInterner::freeze() const {
   FrozenPfTier::Builder B;
   B.Epoch = nextPfEpoch();
-  // Stacking preserves every pf-set id: the relocation into the new tier
-  // is the identity table (mirroring GraphInterner::freeze). Compaction
-  // never relocates pf-sets — it re-derives them from the surviving
-  // graphs' topologies (OpCache::freeze's pf pre-pass over the rebuilt
-  // interner), so id 0 = empty-set and density hold by construction.
-  const RelocationTable<PfSetId> Reloc =
-      RelocationTable<PfSetId>::identity(numSets());
+  // Stacking preserves every pf-set id (mirroring GraphInterner::freeze):
+  // the tier's sets come first and the private ids already start at its
+  // size, so ids carry over as they are.
   if (Shared) {
     B.Pool.assign(Shared->Pool.begin(), Shared->Pool.end());
     B.Sets.assign(Shared->Sets.begin(), Shared->Sets.end());
-    for (const auto &[H, Ids] : Shared->Buckets) {
-      auto &Bucket = B.Buckets[H];
-      Bucket.reserve(Ids.size());
-      for (PfSetId Id : Ids)
-        Bucket.push_back(Reloc.map(Id));
-    }
+    for (const auto &[H, Ids] : Shared->Buckets)
+      B.Buckets[H].assign(Ids.begin(), Ids.end());
   }
   // Append the private delta; private offsets shift by the tier pool
-  // size, ids are preserved (identity relocation).
+  // size.
   uint32_t PoolBase = static_cast<uint32_t>(B.Pool.size());
   B.Pool.insert(B.Pool.end(), Pool.begin(), Pool.end());
   B.Sets.reserve(B.Sets.size() + Sets.size());
@@ -119,7 +109,7 @@ std::shared_ptr<const FrozenPfTier> PfSetInterner::freeze() const {
     auto &Bucket = B.Buckets[H];
     for (PfSetId Id : Ids)
       if (Id >= Base) // tier ids were copied with the tier's buckets
-        Bucket.push_back(Reloc.map(Id));
+        Bucket.push_back(Id);
   }
   auto T = std::make_shared<const FrozenPfTier>(std::move(B));
   T->sealStorage();

@@ -2,32 +2,25 @@
 ///
 /// \file
 /// A value-carrying snapshot of cache entries destined for another
-/// OpCache: the currency of the tier lifecycle (runtime/SharedCache.h).
-/// Two producers fill one:
-///
-///   - OpCache::harvestDelta — the hot entries of a job's private delta
-///     (per-entry hit counters cleared a threshold), harvested after the
-///     job so a later promoteAndRefreeze can merge them into the next
-///     frozen tier instead of discarding them with the worker cache;
-///   - SharedCache compaction — the entries of a frozen tier still live
-///     under the generational touch policy, re-absorbed into a fresh
-///     cache to rebuild the tier densely.
+/// OpCache: the currency of tier promotion (runtime/SharedCache.h).
+/// OpCache::harvestDelta fills one with the hot entries of a job's
+/// private delta (per-entry hit counters cleared a threshold) after the
+/// job, so a later promoteAndRefreeze can merge them into the next
+/// frozen tier instead of discarding them with the worker cache.
 ///
 /// Entries carry operand and result *graphs by value* plus a snapshot of
 /// the symbol table they were built against — never raw canonical ids,
 /// which are meaningless outside their source interner. The consumer
-/// (OpCache::absorbDelta) relocates functor ids by (name, arity) through
-/// a RelocationTable and re-interns every graph, so a delta is portable
-/// across workers, tiers, and compaction rebuilds; exactness is
-/// preserved because every cached operation is a pure function of the
-/// operand languages.
+/// (OpCache::absorbDelta) maps functor ids by (name, arity) and
+/// re-interns every graph, so a delta is portable across workers and
+/// tiers; exactness is preserved because every cached operation is a
+/// pure function of the operand languages.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GAIA_TYPEGRAPH_CACHEDELTA_H
 #define GAIA_TYPEGRAPH_CACHEDELTA_H
 
-#include "support/GraphInterner.h"
 #include "support/StringInterner.h"
 #include "typegraph/TypeGraph.h"
 
@@ -37,15 +30,6 @@
 namespace gaia {
 
 struct CacheDelta {
-  /// A hot language worth re-interning into the target even without a
-  /// hot operation entry (saves the automaton fallback on next use).
-  struct GraphEntry {
-    /// Id in the *source* cache; InvalidCanon for worker harvests (the
-    /// private id has no meaning downstream). Compaction sets it so
-    /// absorbDelta can fill the old-id -> new-id relocation table.
-    CanonId OldId = InvalidCanon;
-    TypeGraph G;
-  };
   /// Operand/result triple of a commutative or ordered pair operation
   /// (union / intersection / widening; for widening A is Old, B is New).
   struct PairEntry {
@@ -73,7 +57,9 @@ struct CacheDelta {
 
   /// Snapshot of the table the carried graphs' functor ids refer to.
   SymbolTable Syms;
-  std::vector<GraphEntry> Graphs;
+  /// Hot languages worth re-interning into the target even without a
+  /// hot operation entry (saves the automaton fallback on next use).
+  std::vector<TypeGraph> Graphs;
   std::vector<InclEntry> Incl;
   std::vector<PairEntry> Union;
   std::vector<PairEntry> Inter;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 using namespace gaia;
 
@@ -54,9 +55,6 @@ TypeGraph OpCache::unionOf(const TypeGraph &A, const TypeGraph &B) {
     auto It = Shared->Union.find(Key);
     if (It != Shared->Union.end()) {
       ++St.SharedHits;
-      // The result id may never pass through intern() this batch, so
-      // its compaction-liveness touch happens at the map hit.
-      Shared->Intern->touch(It->second);
       return Interned.graph(It->second);
     }
   }
@@ -105,7 +103,6 @@ TypeGraph OpCache::intersectOf(const TypeGraph &A, const TypeGraph &B) {
     auto It = Shared->Inter.find(Key);
     if (It != Shared->Inter.end()) {
       ++St.SharedHits;
-      Shared->Intern->touch(It->second);
       return Interned.graph(It->second);
     }
   }
@@ -151,7 +148,6 @@ TypeGraph OpCache::widenOf(const TypeGraph &Old, const TypeGraph &New,
     auto It = Shared->Widen.find(Key);
     if (It != Shared->Widen.end()) {
       ++St.SharedHits;
-      Shared->Intern->touch(It->second);
       if (WStats)
         ++WStats->CacheHits;
       return Interned.graph(It->second);
@@ -199,8 +195,6 @@ bool OpCache::restrictOf(const TypeGraph &V, FunctorId Fn,
     auto It = Shared->Restrict.find(Key);
     if (It != Shared->Restrict.end()) {
       ++St.SharedHits;
-      for (CanonId A : It->second.Args)
-        Shared->Intern->touch(A);
       return Unpack(It->second);
     }
   }
@@ -235,7 +229,6 @@ TypeGraph OpCache::constructOf(FunctorId Fn,
     auto It = Shared->Construct.find(Key);
     if (It != Shared->Construct.end()) {
       ++St.SharedHits;
-      Shared->Intern->touch(It->second);
       return Interned.graph(It->second);
     }
   }
@@ -328,7 +321,7 @@ OpCache::harvestDelta(uint32_t MinHits) const {
   // fallback on first contact.
   for (uint32_t I = 0; I != Interned.deltaSize(); ++I)
     if (Interned.deltaHits(I) >= MinHits)
-      D->Graphs.push_back({InvalidCanon, Interned.deltaGraph(I)});
+      D->Graphs.push_back(Interned.deltaGraph(I));
 
   for (const auto &[K, V] : Incl)
     if (V.Hits >= MinHits)
@@ -371,33 +364,31 @@ OpCache::harvestDelta(uint32_t MinHits) const {
   return D;
 }
 
-uint64_t OpCache::absorbDelta(SymbolTable &TargetSyms, const CacheDelta &D,
-                              RelocationTable<CanonId> *GraphReloc) {
+uint64_t OpCache::absorbDelta(SymbolTable &TargetSyms, const CacheDelta &D) {
   assert(&TargetSyms == &Syms &&
          "absorb target must be the table this cache was built over");
 
-  // Functor relocation: the delta's functor ids -> this table's, matched
-  // by (name, arity); unknown functors are interned. Appending functors
+  // Functor map: the delta's functor ids -> this table's, matched by
+  // (name, arity); unknown functors are interned. Appending functors
   // never reorders existing names, so the name-rank sort order behind
   // canonical or-successor ordering is stable and already-normalized
   // graphs in this cache stay canonical.
   const uint32_t NumF = D.Syms.numFunctors();
-  RelocationTable<uint32_t> FReloc(NumF);
+  std::vector<FunctorId> FMap(NumF);
   bool Identity = true;
   for (uint32_t F = 0; F != NumF; ++F) {
-    FunctorId T =
+    FMap[F] =
         TargetSyms.functor(D.Syms.functorName(F), D.Syms.functorArity(F));
-    FReloc.set(F, T);
-    Identity = Identity && T == F;
+    Identity = Identity && FMap[F] == F;
   }
 
   // Import one carried graph into this cache's id space. The identity
   // fast path passes the value straight to the interner (the common
   // case: promotion onto the tier the delta's job ran over, where the
   // job's table snapshot started from this very table). Otherwise the
-  // functor ids are rewritten through the table and the graph is
+  // functor ids are rewritten through the map and the graph is
   // re-normalized: the rewrite preserves the canonical shape (successor
-  // sort order depends on functor *names*, which relocation preserves)
+  // sort order depends on functor *names*, which the map preserves)
   // but invalidates the certificate, and normalizeGraph re-earns it.
   auto Import = [&](const TypeGraph &In) {
     if (Identity)
@@ -405,7 +396,7 @@ uint64_t OpCache::absorbDelta(SymbolTable &TargetSyms, const CacheDelta &D,
     TypeGraph C = In;
     for (NodeId V = 0; V != C.numNodes(); ++V)
       if (std::as_const(C).node(V).Kind == NodeKind::Func)
-        C.node(V).Fn = FReloc.map(std::as_const(C).node(V).Fn);
+        C.node(V).Fn = FMap[std::as_const(C).node(V).Fn];
     return normalizeGraph(C, TargetSyms, Norm, &Scratch);
   };
   auto InternG = [&](const TypeGraph &In) {
@@ -413,10 +404,8 @@ uint64_t OpCache::absorbDelta(SymbolTable &TargetSyms, const CacheDelta &D,
   };
 
   uint64_t Absorbed = 0;
-  for (const CacheDelta::GraphEntry &E : D.Graphs) {
-    CanonId New = InternG(E.G);
-    if (GraphReloc && E.OldId != InvalidCanon)
-      GraphReloc->set(E.OldId, New);
+  for (const TypeGraph &G : D.Graphs) {
+    InternG(G);
     ++Absorbed;
   }
   for (const CacheDelta::InclEntry &E : D.Incl) {

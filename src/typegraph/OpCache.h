@@ -34,7 +34,6 @@
 #define GAIA_TYPEGRAPH_OPCACHE_H
 
 #include "support/GraphInterner.h"
-#include "support/Relocation.h"
 #include "typegraph/CacheDelta.h"
 #include "typegraph/Normalize.h"
 #include "typegraph/Widening.h"
@@ -220,18 +219,15 @@ public:
   std::shared_ptr<const CacheDelta> harvestDelta(uint32_t MinHits) const;
 
   /// Merges \p D into this cache's private delta: functor ids are
-  /// relocated into \p TargetSyms by (name, arity), every carried graph
-  /// is re-interned, and entries land as ordinary delta entries (a
+  /// mapped into \p TargetSyms by (name, arity), every carried graph is
+  /// re-interned, and entries land as ordinary delta entries (a
   /// following freeze() bakes them into the tier). \p TargetSyms must be
   /// the table this cache was constructed over; it grows by the delta's
   /// unknown symbols. Results stay exact only if the delta was produced
   /// under the same normalization/widening configuration as this cache —
-  /// the lifecycle gates that via SharedCache::compatibleWith. When
-  /// \p GraphReloc is non-null, each graph entry carrying a source id
-  /// records its old-id -> new-id mapping there (compaction's relocation
-  /// table). Returns the number of entries newly recorded.
-  uint64_t absorbDelta(SymbolTable &TargetSyms, const CacheDelta &D,
-                       RelocationTable<CanonId> *GraphReloc = nullptr);
+  /// promotion gates that via SharedCache::compatibleWith. Returns the
+  /// number of entries newly recorded.
+  uint64_t absorbDelta(SymbolTable &TargetSyms, const CacheDelta &D);
 
 private:
   /// True if \p Id's canonical graph carries a normalization certificate

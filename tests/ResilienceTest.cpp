@@ -15,7 +15,6 @@
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
 #include "runtime/AnalysisPool.h"
-#include "runtime/TierLifecycle.h"
 #include "support/FaultInject.h"
 #include "typegraph/GraphOps.h"
 
@@ -125,57 +124,60 @@ TEST(Cancellation, UnarmedOptionsChangeNothing) {
   EXPECT_EQ(fingerprint(Plain), fingerprint(Armed));
 }
 
+/// Promotes the deltas a batch harvested into the next tier; returns
+/// \p Tier itself when no job harvested one.
+std::shared_ptr<const SharedCache>
+promoteBatch(const std::shared_ptr<const SharedCache> &Tier,
+             const std::vector<JobOutcome> &Out) {
+  std::vector<std::shared_ptr<const CacheDelta>> Deltas;
+  for (const JobOutcome &O : Out)
+    if (O.Result.Delta)
+      Deltas.push_back(O.Result.Delta);
+  return Deltas.empty() ? Tier : Tier->promoteAndRefreeze(Deltas);
+}
+
 /// The satellite pin: a wave whose jobs are all cancelled mid-run,
-/// followed by a TierLifecycle rotation, must leave the shared tier,
-/// the delta harvest, and the promotion history exactly as if the wave
-/// had never been submitted.
-TEST(Cancellation, CancelledWaveLeavesNoTraceInTheTierLifecycle) {
+/// followed by a promotion step, must leave the shared tier, the delta
+/// harvest, and the promotion history exactly as if the wave had never
+/// been submitted.
+TEST(Cancellation, CancelledWaveLeavesNoTraceInThePromotedTier) {
   std::vector<AnalysisJob> Jobs = section9Jobs();
   std::string Err;
   std::shared_ptr<const SharedCache> Cache =
       SharedCache::build(Jobs, AnalyzerOptions{}, &Err);
   ASSERT_NE(Cache, nullptr) << Err;
 
-  LifecyclePolicy LP;
-  LP.PromoteMinHits = 2;
+  PoolOptions PO;
+  PO.Workers = 4;
+  PO.Shared = Cache;
+  PO.CollectDeltas = true;
 
-  // Run A: one clean wave through a rotation.
+  // Run A: two clean waves, each followed by a promotion.
   std::vector<std::string> CleanFps;
-  uint64_t CleanPromotions = 0;
+  std::shared_ptr<const SharedCache> CleanTier;
   {
-    TierLifecycle L(Cache, LP);
-    PoolOptions PO;
-    PO.Workers = 4;
-    PO.Shared = L.current();
-    PO.CollectDeltas = true;
     AnalysisPool Pool(PO);
-    std::vector<JobOutcome> Out = Pool.run(Jobs);
-    L.endBatch(Out);
-    Pool.setShared(L.current());
+    std::shared_ptr<const SharedCache> Tier =
+        promoteBatch(Cache, Pool.run(Jobs));
+    Pool.setShared(Tier);
     std::vector<JobOutcome> Out2 = Pool.run(Jobs);
     for (const JobOutcome &O : Out2)
       CleanFps.push_back(fingerprint(O.Result));
-    L.endBatch(Out2);
-    CleanPromotions = L.stats().Promotions;
+    CleanTier = promoteBatch(Tier, Out2);
   }
 
   // Run B: identical, except a fully-cancelled wave (same jobs, token
-  // tripped before dispatch) runs — and rotates — between the two.
+  // tripped before dispatch) runs — and is promoted — between the two.
   {
-    TierLifecycle L(Cache, LP);
-    PoolOptions PO;
-    PO.Workers = 4;
-    PO.Shared = L.current();
-    PO.CollectDeltas = true;
     AnalysisPool Pool(PO);
-    std::vector<JobOutcome> Out = Pool.run(Jobs);
-    L.endBatch(Out);
+    std::shared_ptr<const SharedCache> Tier =
+        promoteBatch(Cache, Pool.run(Jobs));
 
     auto Token = std::make_shared<CancelToken>();
     Token->cancel();
     PoolOptions CancelledPO = PO;
     CancelledPO.Opts.Cancel = Token;
-    CancelledPO.Shared = L.current();
+    CancelledPO.Shared = Tier;
     AnalysisPool CancelledPool(CancelledPO);
     BatchStats CancelledStats;
     std::vector<JobOutcome> Cancelled =
@@ -188,21 +190,19 @@ TEST(Cancellation, CancelledWaveLeavesNoTraceInTheTierLifecycle) {
           << "cancelled jobs must not harvest deltas";
     }
     EXPECT_EQ(CancelledStats.Failed, Jobs.size());
-    uint64_t PromotionsBefore = L.stats().Promotions;
-    L.endBatch(Cancelled); // the rotation after the cancelled wave
-    EXPECT_EQ(L.stats().Promotions, PromotionsBefore)
+    EXPECT_EQ(promoteBatch(Tier, Cancelled), Tier)
         << "a cancelled wave must promote nothing";
 
-    Pool.setShared(L.current());
+    Pool.setShared(Tier);
     std::vector<JobOutcome> Out2 = Pool.run(Jobs);
     for (size_t I = 0; I != Out2.size(); ++I)
       EXPECT_EQ(CleanFps[I], fingerprint(Out2[I].Result))
           << Jobs[I].Key
           << ": a cancelled wave left a trace in the shared tier";
-    // Same promotion count as the clean run, plus nothing extra: the
-    // cancelled wave contributed zero promotions (it advances the
-    // generation clock, which is time passing, not analysis state).
-    EXPECT_EQ(L.stats().Promotions, CleanPromotions);
+    // The final tier holds exactly what the clean run's does.
+    std::shared_ptr<const SharedCache> Final = promoteBatch(Tier, Out2);
+    EXPECT_EQ(Final->stats().Graphs, CleanTier->stats().Graphs);
+    EXPECT_EQ(Final->stats().OpResults, CleanTier->stats().OpResults);
   }
 }
 

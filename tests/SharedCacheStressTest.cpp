@@ -21,7 +21,6 @@
 
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
-#include "support/Relocation.h"
 #include "typegraph/GrammarParser.h"
 #include "typegraph/GrammarPrinter.h"
 #include "typegraph/GraphOps.h"
@@ -326,15 +325,13 @@ TEST(SharedCacheStressTest, ConcurrentAnalysesOverOneTierMatchColdRuns) {
     EXPECT_EQ(Got[I], Oracle[I % Oracle.size()]) << "job " << I;
 }
 
-/// Tier lifecycle under concurrency: a full wave of concurrent analyses
-/// runs over generation 0, its harvested deltas are promoted, two more
-/// concurrent waves run over the promoted tier (touching entries in the
-/// advanced generation), the tier is compacted, and a final wave runs
-/// over the compacted tier. Every wave must match the cold oracle
-/// bit-for-bit. Under TSan this is the suite that polices the touch
-/// generation counters: every shared-tier lookup stores into the
-/// per-graph atomic while seven other threads do the same.
-TEST(SharedCacheStressTest, ConcurrentWavesSurvivePromotionAndCompaction) {
+/// Tier promotion under concurrency: a full wave of concurrent analyses
+/// runs over the built tier, its harvested deltas are promoted, and a
+/// second wave runs over the promoted tier. Every wave must match the
+/// cold oracle bit-for-bit. Under TSan, lookups from eight threads must
+/// race on nothing in either tier: a promoted tier is as read-only as a
+/// built one.
+TEST(SharedCacheStressTest, ConcurrentWavesSurvivePromotion) {
   std::vector<AnalysisJob> Warmup;
   for (const char *Key : {"QU", "DS", "PL", "BR"}) {
     const BenchmarkProgram *B = findBenchmark(Key);
@@ -394,7 +391,7 @@ TEST(SharedCacheStressTest, ConcurrentWavesSurvivePromotionAndCompaction) {
   };
 
   std::vector<std::shared_ptr<const CacheDelta>> Deltas =
-      Wave(Cache, /*Collect=*/true, "generation 0");
+      Wave(Cache, /*Collect=*/true, "built tier");
 
   std::shared_ptr<const SharedCache> Promoted =
       Cache->promoteAndRefreeze(Deltas);
@@ -403,22 +400,6 @@ TEST(SharedCacheStressTest, ConcurrentWavesSurvivePromotionAndCompaction) {
       << "the variant goals must have filled promotable deltas";
   EXPECT_GE(Promoted->stats().Graphs, Cache->stats().Graphs);
   Wave(Promoted, /*Collect=*/false, "promoted tier");
-
-  // New generation, then a wave that re-touches the live working set —
-  // the concurrent-touch traffic compaction liveness is built on.
-  Promoted->ops()->Intern->advanceGeneration();
-  Wave(Promoted, /*Collect=*/false, "promoted tier, generation 1");
-
-  CompactionPolicy CP;
-  CP.KeepGens = 0; // current generation only: the wave's working set
-  RelocationTable<CanonId> Reloc(Promoted->ops()->Intern->size());
-  std::shared_ptr<const SharedCache> Compacted =
-      Promoted->compactAndRefreeze(CP, &Reloc);
-  ASSERT_NE(Compacted, nullptr);
-  EXPECT_EQ(Reloc.size(), Promoted->ops()->Intern->size());
-  EXPECT_EQ(Reloc.liveCount() + Compacted->stats().DroppedGraphs,
-            Promoted->ops()->Intern->size());
-  Wave(Compacted, /*Collect=*/false, "compacted tier");
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 // Fixture: a file exercising the *allowed* shapes near every rule.
 // Expect: zero findings.
 
-#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <unordered_map>
@@ -23,7 +22,7 @@ private:
   std::thread Loop;
 };
 
-// Frozen tier done right: const/atomic fields, const methods only.
+// Frozen tier done right: const fields, const methods only.
 struct FrozenOkTier {
   struct Builder { // nested builder may be mutable: it is pre-freeze
     std::vector<uint32_t> Ids;
@@ -35,7 +34,6 @@ struct FrozenOkTier {
 
   const uint64_t Epoch;
   const std::vector<uint32_t> Ids;
-  std::atomic<uint64_t> Lookups{0};
 
   uint32_t size() const { return static_cast<uint32_t>(Ids.size()); }
 };
