@@ -2,7 +2,10 @@
 """Perf-regression gates for the bench snapshots.
 
 Table 3 gate — compares a freshly written BENCH_table3.json against the
-committed baseline (bench/BENCH_table3.baseline.json) and fails when
+committed baseline (bench/BENCH_table3.baseline.json). Both carry
+medians: bench_table3_performance times every configuration five times
+after a discarded warm-up and writes the median as solve_seconds and
+total_solve_seconds*, the spread as solve_seconds_min/_max. It fails when
 
   * total_solve_seconds regresses by more than the tolerance
     (default 30%, CI runners are noisy but not *that* noisy),

@@ -10,9 +10,15 @@
 /// pathological one) is the reproduction target. google-benchmark
 /// timings cover the quick programs.
 ///
+/// Each program's three configurations run once as a discarded warm-up,
+/// then TimedRepeats more times; every reported time is the median of
+/// the timed repeats (a single sample of a ~0.1 s table is scheduler
+/// noise on a shared host). Counts are exact and come from the warm-up.
+///
 /// Besides the human-readable table, the harness writes a
-/// machine-readable BENCH_table3.json (per-program solve seconds,
-/// iterations, op-cache hit rates) so CI can accumulate a bench
+/// machine-readable BENCH_table3.json (per-program median, min and max
+/// solve seconds, iterations, op-cache hit rates; the totals are medians
+/// over the repeats of the per-repeat sums) so CI can accumulate a bench
 /// trajectory. Override the output path with the BENCH_TABLE3_JSON
 /// environment variable; set it to the empty string to skip the file.
 ///
@@ -22,6 +28,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -37,12 +45,28 @@ using namespace gaia;
 
 namespace {
 
+/// Timed repeats per configuration, after one discarded warm-up.
+constexpr unsigned TimedRepeats = 5;
+
+/// The three Table 3 configurations: uncapped, or-cap 5, or-cap 2.
+constexpr std::array<uint32_t, 3> OrCaps = {0, 5, 2};
+
+double median(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  size_t N = V.size();
+  return N % 2 ? V[N / 2] : (V[N / 2 - 1] + V[N / 2]) / 2;
+}
+
 struct Table3Row {
   std::string Key;
+  /// The warm-up uncapped run: iteration counts and cache statistics.
   AnalysisResult Base;
-  AnalysisResult Cap5;
-  AnalysisResult Cap2;
-  long PeakRssKb = 0; ///< peak RSS over the uncapped run (see below)
+  /// Solve seconds of the timed repeats, per configuration (OrCaps).
+  std::array<std::vector<double>, OrCaps.size()> Seconds;
+  long PeakRssKb = 0; ///< peak RSS over the warm-up uncapped run
+  double medianSeconds(size_t Config) const {
+    return median(Seconds[Config]);
+  }
 };
 
 /// Peak-RSS sampling for the paper's Table 3 memory column. On Linux the
@@ -110,18 +134,23 @@ std::vector<Table3Row> runTable3(bool &PerProgramRss) {
   for (const BenchmarkProgram &B : table123Suite()) {
     Table3Row Row;
     Row.Key = B.Key;
-    AnalyzerOptions Base;
-    // Peak RSS brackets the uncapped run — the configuration the
-    // paper's memory column measures.
-    PerProgramRss = resetPeakRss() && PerProgramRss;
-    Row.Base = runBenchmark(B, Base);
-    Row.PeakRssKb = peakRssKb();
-    AnalyzerOptions Cap5 = Base;
-    Cap5.OrCap = 5;
-    Row.Cap5 = runBenchmark(B, Cap5);
-    AnalyzerOptions Cap2 = Base;
-    Cap2.OrCap = 2;
-    Row.Cap2 = runBenchmark(B, Cap2);
+    for (unsigned Run = 0; Run != 1 + TimedRepeats; ++Run)
+      for (size_t C = 0; C != OrCaps.size(); ++C) {
+        AnalyzerOptions Opts;
+        Opts.OrCap = OrCaps[C];
+        // Peak RSS brackets the warm-up uncapped run — the
+        // configuration the paper's memory column measures.
+        bool Bracket = Run == 0 && C == 0;
+        if (Bracket)
+          PerProgramRss = resetPeakRss() && PerProgramRss;
+        AnalysisResult R = runBenchmark(B, Opts);
+        if (Bracket) {
+          Row.PeakRssKb = peakRssKb();
+          Row.Base = std::move(R);
+        } else if (Run != 0) {
+          Row.Seconds[C].push_back(R.Stats.SolveSeconds);
+        }
+      }
     Rows.push_back(std::move(Row));
   }
   return Rows;
@@ -129,14 +158,15 @@ std::vector<Table3Row> runTable3(bool &PerProgramRss) {
 
 void printTable3(const std::vector<Table3Row> &Rows) {
   printHeaderBlock("Table 3", "computation results (type-graph domain)");
+  std::printf("ours: median solve time of %u runs after a warm-up\n",
+              TimedRepeats);
   std::printf("%-4s | %s\n", "", perfTableHeader().c_str());
   for (const Table3Row &Row : Rows) {
     std::printf("ours | %s\n",
-                formatPerfRow(Row.Key, Row.Base.Stats.SolveSeconds,
+                formatPerfRow(Row.Key, Row.medianSeconds(0),
                               Row.Base.Stats.ProcedureIterations,
                               Row.Base.Stats.ClauseIterations,
-                              Row.Cap5.Stats.SolveSeconds,
-                              Row.Cap2.Stats.SolveSeconds)
+                              Row.medianSeconds(1), Row.medianSeconds(2))
                     .c_str());
     if (const PaperTable3Row *P = paperTable3(Row.Key))
       std::printf("papr | %s\n",
@@ -174,11 +204,15 @@ bool writeJson(const std::vector<Table3Row> &Rows, bool PerProgramRss,
     std::fprintf(stderr, "error: cannot write %s\n", Path);
     return false;
   }
-  double Total = 0, Total5 = 0, Total2 = 0;
-  for (const Table3Row &Row : Rows) {
-    Total += Row.Base.Stats.SolveSeconds;
-    Total5 += Row.Cap5.Stats.SolveSeconds;
-    Total2 += Row.Cap2.Stats.SolveSeconds;
+  // Per configuration, the median over the repeats of the summed solve
+  // time of one repeat.
+  std::array<double, OrCaps.size()> Totals;
+  for (size_t C = 0; C != OrCaps.size(); ++C) {
+    std::vector<double> Sums(TimedRepeats, 0.0);
+    for (const Table3Row &Row : Rows)
+      for (unsigned Run = 0; Run != TimedRepeats; ++Run)
+        Sums[Run] += Row.Seconds[C][Run];
+    Totals[C] = median(Sums);
   }
   std::fprintf(F, "{\n  \"programs\": [\n");
   for (size_t I = 0; I != Rows.size(); ++I) {
@@ -188,6 +222,7 @@ bool writeJson(const std::vector<Table3Row> &Rows, bool PerProgramRss,
     std::fprintf(
         F,
         "    {\"key\": \"%s\", \"solve_seconds\": %.6f, "
+        "\"solve_seconds_min\": %.6f, \"solve_seconds_max\": %.6f, "
         "\"proc_iterations\": %llu, \"clause_iterations\": %llu, "
         "\"solve_seconds_cap5\": %.6f, \"solve_seconds_cap2\": %.6f, "
         "\"op_cache_hits\": %llu, \"op_cache_misses\": %llu, "
@@ -200,10 +235,12 @@ bool writeJson(const std::vector<Table3Row> &Rows, bool PerProgramRss,
         "\"widen_incremental_skips\": %llu, "
         "\"widen_budget_exhaustions\": %llu, \"pf_set_hit_rate\": %.4f, "
         "\"converged\": %s}%s\n",
-        Row.Key.c_str(), S.SolveSeconds,
+        Row.Key.c_str(), Row.medianSeconds(0),
+        *std::min_element(Row.Seconds[0].begin(), Row.Seconds[0].end()),
+        *std::max_element(Row.Seconds[0].begin(), Row.Seconds[0].end()),
         static_cast<unsigned long long>(S.ProcedureIterations),
         static_cast<unsigned long long>(S.ClauseIterations),
-        Row.Cap5.Stats.SolveSeconds, Row.Cap2.Stats.SolveSeconds,
+        Row.medianSeconds(1), Row.medianSeconds(2),
         static_cast<unsigned long long>(S.OpCacheHits),
         static_cast<unsigned long long>(S.OpCacheMisses),
         cacheHitRate(Row.Base),
@@ -222,14 +259,16 @@ bool writeJson(const std::vector<Table3Row> &Rows, bool PerProgramRss,
         I + 1 != Rows.size() ? "," : "");
   }
   std::fprintf(F,
-               "  ],\n  \"total_solve_seconds\": %.6f,\n"
+               "  ],\n  \"timed_repeats\": %u,\n"
+               "  \"total_solve_seconds\": %.6f,\n"
                "  \"total_solve_seconds_cap5\": %.6f,\n"
                "  \"total_solve_seconds_cap2\": %.6f,\n"
                "  \"peak_rss_per_program\": %s\n}\n",
-               Total, Total5, Total2, PerProgramRss ? "true" : "false");
+               TimedRepeats, Totals[0], Totals[1], Totals[2],
+               PerProgramRss ? "true" : "false");
   std::fclose(F);
-  std::printf("wrote %s (total %.3fs, cap5 %.3fs, cap2 %.3fs)\n\n", Path,
-              Total, Total5, Total2);
+  std::printf("wrote %s (median total %.3fs, cap5 %.3fs, cap2 %.3fs)\n\n",
+              Path, Totals[0], Totals[1], Totals[2]);
   return true;
 }
 

@@ -214,6 +214,7 @@ AnalysisResult analyzeImpl(std::shared_ptr<SymbolTable> SymsPtr,
         R.Stats.OpCacheSharedHits = Ops->stats().SharedHits;
         R.Stats.InternSharedHits = Ops->interner().stats().SharedHits;
         R.Stats.InternedGraphs = Ops->interner().size();
+        R.Stats.InternAutomatonKeys = Ops->interner().stats().AutomatonKeys;
         R.Stats.PfSetHits = Ops->pfStats().Hits;
         R.Stats.PfSetMisses = Ops->pfStats().Misses;
         R.Stats.PfSetSharedHits = Ops->pfStats().SharedHits;

@@ -110,6 +110,10 @@ struct EngineStats {
   /// Distinct graph languages hash-consed by the interner (shared tier
   /// plus the run's private delta).
   uint64_t InternedGraphs = 0;
+  /// Minimal automata the interner built to key a graph whose canonical
+  /// shape exceeds its structural index (support/GraphInterner.h, rule
+  /// 3); 0 on the Section 9 programs.
+  uint64_t InternAutomatonKeys = 0;
   /// Pf-set interner counters (support/PfSetInterner.h), filled in by
   /// the analyzer from the widening scratch (zero when uncached).
   uint64_t PfSetHits = 0;

@@ -125,12 +125,54 @@ std::vector<uint64_t> automatonKey(const TypeGraph &G,
   return Key;
 }
 
+/// The language index bound B (support/GraphInterner.h): canonical
+/// shapes up to this many vertices are recorded in the structural
+/// buckets. Default-constructed options are the exact canonicalization
+/// options: no or-cap, no depth bound, B vertices.
+constexpr uint32_t IndexBound = NormalizeOptions{}.MaxNodes;
+
+/// The id of the language whose recorded shape in \p Bucket is
+/// structurally equal to \p G, or InvalidCanon.
+template <typename BucketT>
+CanonId findShape(const BucketT &Bucket, const TypeGraph &G) {
+  for (const auto &[Rep, Id] : Bucket)
+    if (structuralEqual(*Rep, G))
+      return Id;
+  return InvalidCanon;
+}
+
+/// Same, looking up \p G's bucket (shape hash \p H) in \p Buckets.
+template <typename BucketMapT>
+CanonId findShape(const BucketMapT &Buckets, uint64_t H, const TypeGraph &G) {
+  auto It = Buckets.find(H);
+  return It == Buckets.end() ? InvalidCanon : findShape(It->second, G);
+}
+
 } // namespace
 
 GraphInterner::GraphInterner(const SymbolTable &Syms,
                              std::shared_ptr<const FrozenInternTier> Tier)
     : Syms(Syms), Shared(std::move(Tier)),
       Base(Shared ? Shared->size() : 0), Epoch(nextInternerEpoch()) {}
+
+CanonId GraphInterner::mint(const TypeGraph &G, Bucket &B) {
+  ++St.Misses;
+  CanonId Id = Base + static_cast<CanonId>(Canon.size());
+  Canon.push_back(G);
+  DeltaHits.push_back(0);
+  Canon.back().setInternCache(Epoch, Id);
+  B.emplace_back(&Canon.back(), Id);
+  G.setInternCache(Epoch, Id);
+  return Id;
+}
+
+CanonId GraphInterner::alias(const TypeGraph &G, Bucket &B, CanonId Id,
+                             uint64_t CacheEpoch) {
+  Aliases.push_back(G);
+  B.emplace_back(&Aliases.back(), Id);
+  G.setInternCache(CacheEpoch, Id);
+  return Id;
+}
 
 CanonId GraphInterner::intern(const TypeGraph &G) {
   // O(1) path: this exact value object (or a copy of one) has been
@@ -163,62 +205,88 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
   // read it unsynchronized). A hit is cached on the *value* under the
   // tier's epoch, so copies keep resolving against any interner layered
   // over the same tier.
-  if (Shared) {
-    if (auto BucketIt = Shared->StructBuckets.find(H);
-        BucketIt != Shared->StructBuckets.end())
-      for (const auto &[Rep, Id] : BucketIt->second)
-        if (structuralEqual(*Rep, G)) {
-          ++St.SharedHits;
-          G.setInternCache(Shared->Epoch, Id);
-          return Id;
-        }
-  }
-
-  auto &Bucket = StructBuckets[H];
-  for (const auto &[Rep, Id] : Bucket)
-    if (structuralEqual(*Rep, G)) {
-      ++St.StructHits;
-      G.setInternCache(Epoch, Id);
-      if (Id >= Base)
-        ++DeltaHits[Id - Base];
+  if (Shared)
+    if (CanonId Id = findShape(Shared->StructBuckets, H, G);
+        Id != InvalidCanon) {
+      ++St.SharedHits;
+      G.setInternCache(Shared->Epoch, Id);
       return Id;
     }
 
-  std::vector<uint64_t> AKey = automatonKey(G, Syms, Scratch);
-  if (Shared) {
-    auto SharedIt = Shared->AutoMap.find(AKey);
-    if (SharedIt != Shared->AutoMap.end()) {
-      // New shape of a language the shared tier knows: record the shape
-      // privately so the next structural lookup short-circuits.
-      ++St.SharedHits;
-      Aliases.push_back(G);
-      Bucket.emplace_back(&Aliases.back(), SharedIt->second);
-      G.setInternCache(Shared->Epoch, SharedIt->second);
-      return SharedIt->second;
-    }
-  }
-  auto It = AutoMap.find(AKey);
-  if (It != AutoMap.end()) {
-    // New shape of a known language: remember it so the next structural
-    // lookup of this shape short-circuits.
-    ++St.AutoHits;
-    // The private automaton map only records privately assigned ids
-    // (>= Base), so this is always a delta-heat tick.
-    ++DeltaHits[It->second - Base];
-    Aliases.push_back(G);
-    Bucket.emplace_back(&Aliases.back(), It->second);
-    G.setInternCache(Epoch, It->second);
-    return It->second;
+  Bucket &B = StructBuckets[H];
+  if (CanonId Id = findShape(B, G); Id != InvalidCanon) {
+    ++St.StructHits;
+    G.setInternCache(Epoch, Id);
+    if (Id >= Base)
+      ++DeltaHits[Id - Base];
+    return Id;
   }
 
-  ++St.Misses;
-  CanonId Id = Base + static_cast<CanonId>(Canon.size());
-  Canon.push_back(G);
-  DeltaHits.push_back(0);
-  Canon.back().setInternCache(Epoch, Id);
-  Bucket.emplace_back(&Canon.back(), Id);
+  // Rule 1: every language whose canonical shape fits the bound has
+  // that shape in the buckets, so a certified shape that missed them
+  // all is a new language.
+  if (G.isCertified() && G.numNodes() <= IndexBound) {
+#ifndef NDEBUG
+    // Certificate audit: the rule is exact only if a certified graph is
+    // its language's canonical shape. Re-normalizing an uncertified twin
+    // (compact() drops the certificate) must reproduce it.
+    TypeGraph Twin = normalizeGraph(G.compact(), Syms, NormalizeOptions{},
+                                    &Scratch);
+    assert(structuralEqual(Twin, G) &&
+           "certified graph is not the canonical shape of its language");
+#endif
+    return mint(G, B);
+  }
+
+  // Rule 2: canonicalize an uncertified spelling and look its language
+  // up by the canonical shape, tier first.
+  if (!G.isCertified()) {
+    TypeGraph C = normalizeGraph(G, Syms, NormalizeOptions{}, &Scratch);
+    if (C.isCertified() && C.numNodes() <= IndexBound) {
+      uint64_t HC = structuralHash(C);
+      if (Shared)
+        if (CanonId Id = findShape(Shared->StructBuckets, HC, C);
+            Id != InvalidCanon) {
+          // New shape of a language the shared tier knows: record the
+          // shape privately so the next structural lookup short-circuits.
+          ++St.SharedHits;
+          return alias(G, B, Id, Shared->Epoch);
+        }
+      if (CanonId Id = findShape(StructBuckets, HC, C); Id != InvalidCanon) {
+        ++St.AutoHits;
+        if (Id >= Base)
+          ++DeltaHits[Id - Base];
+        return alias(G, B, Id, Epoch);
+      }
+      // New language: the input stays its representative, and the
+      // canonical shape is filed too, keeping the index complete.
+      CanonId Id = mint(G, B);
+      if (HC != H || !structuralEqual(C, G)) {
+        Aliases.push_back(std::move(C));
+        StructBuckets[HC].emplace_back(&Aliases.back(), Id);
+      }
+      return Id;
+    }
+  }
+
+  // Rule 3: a language whose canonical shape exceeds the bound is keyed
+  // on its minimal automaton.
+  ++St.AutomatonKeys;
+  std::vector<uint64_t> AKey = automatonKey(G, Syms, Scratch);
+  if (Shared)
+    if (auto It = Shared->AutoMap.find(AKey); It != Shared->AutoMap.end()) {
+      ++St.SharedHits;
+      return alias(G, B, It->second, Shared->Epoch);
+    }
+  if (auto It = AutoMap.find(AKey); It != AutoMap.end()) {
+    // The private automaton map only records privately assigned ids
+    // (>= Base), so this is always a delta-heat tick.
+    ++St.AutoHits;
+    ++DeltaHits[It->second - Base];
+    return alias(G, B, It->second, Epoch);
+  }
+  CanonId Id = mint(G, B);
   AutoMap.emplace(std::move(AKey), Id);
-  G.setInternCache(Epoch, Id);
   return Id;
 }
 

@@ -11,19 +11,34 @@
 ///     canonical-id pairs), and
 ///   - memo-table lookup in the engine hashable (per-slot canonical ids).
 ///
-/// Two-level lookup keeps interning cheap:
+/// Lookup is structural: a map over the BFS-canonical shape of the graph
+/// (shared tier first, then the private buckets). `normalizeGraph`
+/// unfolds the minimized deterministic automaton in a deterministic
+/// order, so its output depends only on the language: a *certified*
+/// graph (TypeGraph::isCertified — a normalization output or a certified
+/// make* constructor) is the canonical shape of its language, and two
+/// certified graphs are language-equal iff structurally equal. The
+/// buckets are therefore a complete language index for every language
+/// whose canonical shape has at most B = NormalizeOptions{}.MaxNodes
+/// vertices, and a graph whose shape misses both bucket maps takes one
+/// of three rules:
 ///
-///   1. a *structural* map over the BFS-canonical shape of the graph.
-///      `normalizeGraph` unfolds the minimized deterministic automaton in
-///      a deterministic order, so language-equal normalized graphs are
-///      structurally identical and almost every intern is a cheap O(n)
-///      structural hit;
-///   2. a fallback keyed on the serialized minimal automaton
-///      (`buildAutomaton`), which is canonical for *any* graph. A
-///      structurally novel graph whose language was seen before is
-///      recorded as an alias of the existing id, so the canonical-id
-///      invariant — equal language iff equal id — holds even for
-///      hand-built (non-canonical but normalized) graphs.
+///   1. certified, at most B vertices: a new language — it takes the
+///      next id, no automaton is built;
+///   2. uncertified (hand-built spellings, depth-k truncations): it is
+///      canonicalized by `normalizeGraph` under exact options (no or-cap
+///      or depth bound, B vertices). If that output is certified and
+///      fits B, its shape is looked up (tier first): a hit records the
+///      input's shape as an alias of that id; a miss mints an id with the
+///      input as representative and files the canonical shape under it;
+///   3. anything else (a certified graph above B, an uncertified graph
+///      whose canonical form does not fit B) is keyed on the serialized
+///      minimal automaton (`buildAutomaton`), which is canonical for any
+///      graph. No Section 9 program reaches this rule.
+///
+/// Together they keep the canonical-id invariant — equal language iff
+/// equal id — with the same ids and representatives as keying every
+/// graph on its automaton (tests/ReferenceInterner.h is that reference).
 ///
 /// For the batch runtime the interner is *two-tier*: `freeze()` snapshots
 /// a populated interner into an immutable FrozenInternTier whose lookups
@@ -74,9 +89,14 @@ bool structuralEqual(const TypeGraph &A, const TypeGraph &B);
 struct InternStats {
   uint64_t IdHits = 0;     ///< resolved by the graph's cached (epoch, id)
   uint64_t StructHits = 0; ///< resolved by the structural fast path
-  uint64_t AutoHits = 0;   ///< new shape, known language (alias recorded)
-  uint64_t Misses = 0;     ///< new language (canonical graph stored)
+  /// New shape of a privately known language, alias recorded: an
+  /// uncertified shape whose canonical form hit (rule 2), or a rule-3
+  /// automaton-key hit.
+  uint64_t AutoHits = 0;
+  uint64_t Misses = 0;     ///< new language (representative stored)
   uint64_t SharedHits = 0; ///< resolved in the frozen shared tier
+  /// Minimal automata built to key a graph (rule 3 of the file comment).
+  uint64_t AutomatonKeys = 0;
 };
 
 /// An immutable snapshot of a populated GraphInterner: the read-only
@@ -145,7 +165,8 @@ struct FrozenInternTier {
   const FrozenDeque<TypeGraph> Aliases;
   /// Shape hash -> (representative graph, id).
   const BucketMap StructBuckets;
-  /// Serialized minimal automaton -> id.
+  /// Serialized minimal automaton -> id, for the languages interned by
+  /// rule 3 of the file comment (empty on the Section 9 programs).
   const AutoKeyMap AutoMap;
 
   uint32_t size() const { return static_cast<uint32_t>(Canon.size()); }
@@ -174,14 +195,16 @@ public:
   GraphInterner(const GraphInterner &) = delete;
   GraphInterner &operator=(const GraphInterner &) = delete;
 
-  /// Interns \p G (which must be normalized — outputs of normalizeGraph /
-  /// normalizeFrom or the canonical make* constructors) and returns its
-  /// canonical id. Language-equal graphs receive equal ids. The resolved
-  /// id is written back into the graph's intern cache (tagged with this
-  /// interner's epoch, or with the shared tier's epoch when the language
-  /// lives there — tier ids are valid under every interner sharing that
-  /// tier), so re-interning the same value — every cached leaf operation
-  /// interns its operands — is a tag compare.
+  /// Interns \p G and returns its canonical id. Language-equal graphs
+  /// receive equal ids. Certified graphs (normalization outputs, the
+  /// certified make* constructors) resolve by shape alone; an uncertified
+  /// one costs one exact normalization the first time its shape is seen
+  /// (see the file comment). The resolved id is written back into the
+  /// graph's intern cache (tagged with this interner's epoch, or with the
+  /// shared tier's epoch when the language lives there — tier ids are
+  /// valid under every interner sharing that tier), so re-interning the
+  /// same value — every cached leaf operation interns its operands — is a
+  /// tag compare.
   CanonId intern(const TypeGraph &G);
 
   /// The canonical representative of \p Id (the first graph interned with
@@ -228,19 +251,30 @@ private:
   /// Re-resolution counts parallel to Canon (cheap per-entry heat
   /// counters for delta promotion).
   std::deque<uint32_t> DeltaHits;
-  /// Alias storage for structurally novel graphs of known languages.
+  using Bucket = std::vector<std::pair<const TypeGraph *, CanonId>>;
+
+  /// Assigns the next id to \p G's new language: stores \p G as its
+  /// representative and files the shape in \p B (the bucket of \p G's
+  /// shape hash).
+  CanonId mint(const TypeGraph &G, Bucket &B);
+  /// Records \p G's shape (bucket \p B) as an extra shape of language
+  /// \p Id and caches the id on \p G under \p CacheEpoch.
+  CanonId alias(const TypeGraph &G, Bucket &B, CanonId Id,
+                uint64_t CacheEpoch);
+
+  /// Alias storage for structurally novel graphs of known languages and
+  /// the canonical shapes of uncertified representatives.
   std::deque<TypeGraph> Aliases;
-  /// Structural fast path: shape hash -> (representative graph, id).
-  std::unordered_map<uint64_t, std::vector<std::pair<const TypeGraph *,
-                                                     CanonId>>>
-      StructBuckets;
-  /// Serialized minimal automaton -> id (canonical for any graph).
+  /// Structural lookup: shape hash -> (representative graph, id).
+  std::unordered_map<uint64_t, Bucket> StructBuckets;
+  /// Serialized minimal automaton -> id, for rule-3 languages only.
   std::unordered_map<std::vector<uint64_t>, CanonId, U64VectorHash> AutoMap;
   /// Distinguishes this interner's cached ids from those of any other
   /// interner a graph value may have met (one process hosts many
   /// analyses); drawn from a process-wide counter.
   uint64_t Epoch;
-  /// Normalization scratch for the automaton-key fallback path.
+  /// Normalization scratch for canonicalizing uncertified graphs and
+  /// building rule-3 automaton keys.
   NormalizeScratch Scratch;
   InternStats St;
 };

@@ -58,7 +58,8 @@ struct CacheDelta {
   /// Snapshot of the table the carried graphs' functor ids refer to.
   SymbolTable Syms;
   /// Hot languages worth re-interning into the target even without a
-  /// hot operation entry (saves the automaton fallback on next use).
+  /// hot operation entry (later jobs then resolve them in the tier
+  /// instead of minting private ids).
   std::vector<TypeGraph> Graphs;
   std::vector<InclEntry> Incl;
   std::vector<PairEntry> Union;

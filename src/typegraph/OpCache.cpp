@@ -317,8 +317,9 @@ OpCache::harvestDelta(uint32_t MinHits) const {
   };
 
   // Hot privately-interned languages: even without a hot operation
-  // entry, promoting the language spares the next batch the automaton
-  // fallback on first contact.
+  // entry, promoting the language lets every job of the next batch
+  // resolve it in the tier instead of minting a private id for it (a
+  // graph copy into the delta) on first contact.
   for (uint32_t I = 0; I != Interned.deltaSize(); ++I)
     if (Interned.deltaHits(I) >= MinHits)
       D->Graphs.push_back(Interned.deltaGraph(I));

@@ -255,6 +255,13 @@ public:
            (NormUniversal || (NormOrCap == OrCap && NormMaxNodes == MaxNodes &&
                               NormMaxDepth == MaxDepth));
   }
+  /// True if the graph carries a certificate for *some* option values.
+  /// Such a graph is the unfolding of its own language's minimal
+  /// automaton (normalization's output depends on nothing else), so two
+  /// certified graphs denote the same language iff they are structurally
+  /// equal — the premise of the interner's language index
+  /// (support/GraphInterner.h).
+  bool isCertified() const { return NormValid; }
 
   /// Cached BFS-structural signature (see support/GraphInterner.h). The
   /// mutators clear it; structuralHash fills it on first use.

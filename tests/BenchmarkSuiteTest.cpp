@@ -6,6 +6,8 @@
 /// domains, produces sane metrics, and the type analysis never loses to
 /// the principal-functor baseline (Section 9: "The type analysis
 /// described here is always more precise than the pattern domain").
+/// Every graph these programs intern resolves by shape: the interner
+/// never falls back to building a minimal automaton.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,6 +96,31 @@ TEST_P(BenchmarkSuiteTest, TypeTagsNeverLoseToBaseline) {
     EXPECT_LE(T.AI, T.A);
     EXPECT_LE(T.CI, T.C);
   }
+}
+
+/// Analyzes \p B uncapped and under or-caps 5 and 2 (all other options
+/// default) and requires that no intern needed an automaton key.
+void expectNoAutomatonKeys(const BenchmarkProgram &B) {
+  for (uint32_t OrCap : {0u, 5u, 2u}) {
+    AnalyzerOptions Opts;
+    Opts.OrCap = OrCap;
+    AnalysisResult R = analyzeProgram(B.Source, B.GoalSpec, Opts);
+    ASSERT_TRUE(R.Ok) << B.Key << ": " << R.Error;
+    EXPECT_GT(R.Stats.InternedGraphs, 0u) << B.Key;
+    EXPECT_EQ(R.Stats.InternAutomatonKeys, 0u)
+        << B.Key << " at or-cap " << OrCap;
+  }
+}
+
+TEST_P(BenchmarkSuiteTest, InternerBuildsNoAutomatonKeys) {
+  const BenchmarkProgram *B = findBenchmark(GetParam());
+  ASSERT_NE(B, nullptr);
+  expectNoAutomatonKeys(*B);
+}
+
+TEST(Section2ExamplesTest, InternerBuildsNoAutomatonKeys) {
+  for (const BenchmarkProgram &B : section2Examples())
+    expectNoAutomatonKeys(B);
 }
 
 INSTANTIATE_TEST_SUITE_P(Programs, BenchmarkSuiteTest,

@@ -21,9 +21,17 @@
 ///      inherent over-approximation —, so the reverse direction is
 ///      asserted only for unambiguous inputs,
 ///   4. the cached restrict/construct primitives agree with their
-///      uncached implementations.
+///      uncached implementations,
+///   5. certified means canonical, the premise of the interner's
+///      structural language index: under every or-cap and depth bound,
+///      a certified graph is reproduced by exact re-normalization of its
+///      uncertified twin, and two certified graphs are structurally
+///      equal iff their minimal automata are (tests/ReferenceInterner.h
+///      keys on the latter).
 ///
 //===----------------------------------------------------------------------===//
+
+#include "ReferenceInterner.h"
 
 #include "support/GraphInterner.h"
 #include "typegraph/GraphOps.h"
@@ -273,6 +281,57 @@ TEST(NormalizePropertyTest, IdempotentAndCertificateHonest) {
     EXPECT_TRUE(structuralEqual(N1, N3))
         << "full pipeline disagrees with certified fast path";
   }
+}
+
+TEST(NormalizePropertyTest, CertifiedOutputsAreCanonicalShapes) {
+  Signature Sig;
+  GraphGen Gen(Sig, 1994);
+  std::vector<TypeGraph> Certified{
+      TypeGraph::makeAny(), TypeGraph::makeInt(), TypeGraph::makeBottom(),
+      TypeGraph::makeFunctorOfAny(Sig.Syms, Sig.A0),
+      TypeGraph::makeFunctorOfAny(Sig.Syms, Sig.F1),
+      TypeGraph::makeFunctorOfAny(Sig.Syms, Sig.G2)};
+  uint32_t Truncated = 0;
+  for (uint32_t I = 0; I != NumGraphs; ++I) {
+    TypeGraph Raw = Gen.randomRaw();
+    for (uint32_t OrCap : {0u, 5u, 2u})
+      for (uint32_t MaxDepth : {0u, 3u}) {
+        NormalizeOptions Opts;
+        Opts.OrCap = OrCap;
+        Opts.MaxDepth = MaxDepth;
+        TypeGraph N = normalizeGraph(Raw, Sig.Syms, Opts);
+        if (N.isCertified())
+          Certified.push_back(std::move(N));
+        else
+          ++Truncated; // the depth bound fired
+      }
+  }
+  // The depth bound must fire sometimes without swamping the pool.
+  EXPECT_GT(Truncated, 0u);
+  ASSERT_GT(Certified.size(), 4 * NumGraphs);
+
+  ReferenceInterner Ref(Sig.Syms);
+  std::vector<CanonId> Language;
+  for (const TypeGraph &N : Certified) {
+    // compact() rebuilds the node array, dropping the certificate, so
+    // the exact pipeline runs in full on the twin.
+    TypeGraph Twin = N.compact();
+    ASSERT_FALSE(Twin.isCertified());
+    EXPECT_TRUE(structuralEqual(normalizeGraph(Twin, Sig.Syms), N))
+        << "a certified graph is not its language's canonical shape";
+    Language.push_back(Ref.intern(N));
+  }
+  uint32_t EqualPairs = 0;
+  for (size_t A = 0; A != Certified.size(); ++A)
+    for (size_t B = A + 1; B != Certified.size(); ++B) {
+      bool Same = Language[A] == Language[B];
+      EqualPairs += Same;
+      EXPECT_EQ(structuralEqual(Certified[A], Certified[B]), Same)
+          << "graphs " << A << " and " << B;
+    }
+  // Both directions of the equivalence are exercised.
+  EXPECT_GT(EqualPairs, 0u);
+  EXPECT_GT(Ref.size(), 40u);
 }
 
 TEST(NormalizePropertyTest, LanguagePreservingAgainstMembershipOracle) {
