@@ -22,9 +22,9 @@
 ///     sequential oracle (faults and retries never corrupt a result
 ///     that reports success at full precision).
 ///
-/// Writes BENCH_chaos.json (override with BENCH_CHAOS_JSON; empty
-/// string skips). Job count via CHAOS_JOBS (default 10000), workers
-/// via CHAOS_WORKERS (default 8).
+/// Prints its figures to stdout and any violation to stderr; the exit
+/// status is the gate. Job count via CHAOS_JOBS (default 10000),
+/// workers via CHAOS_WORKERS (default 8).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +36,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
@@ -62,38 +61,6 @@ std::vector<AnalysisJob> distinctQueries() {
     }
   }
   return Queries;
-}
-
-/// Minimal JSON string escaping (error strings can carry quotes and
-/// newlines from source excerpts).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
 }
 
 unsigned envUnsigned(const char *Name, unsigned Default) {
@@ -234,6 +201,8 @@ int main(int argc, char **argv) {
   std::printf("failed: %u, degraded: %u, recovered: %u, fault fires: %llu\n",
               St.Failed, St.Degraded, St.Recovered,
               static_cast<unsigned long long>(FaultFires));
+  if (!St.FirstError.empty())
+    std::printf("first error: %s\n", St.FirstError.c_str());
   std::printf("ladder: %llu first-attempt failures, %llu cold retries "
               "(%llu ok), %llu tight retries (%llu ok), %llu floor, "
               "%llu quarantined, %llu short-circuits\n",
@@ -251,65 +220,6 @@ int main(int argc, char **argv) {
   for (const auto &[Rung, N] : Rungs)
     std::printf("  rung %-12s %llu\n", Rung.c_str(),
                 static_cast<unsigned long long>(N));
-
-  const char *JsonPath = std::getenv("BENCH_CHAOS_JSON");
-  if (!JsonPath)
-    JsonPath = "BENCH_chaos.json";
-  if (*JsonPath) {
-    std::FILE *F = std::fopen(JsonPath, "w");
-    if (!F) {
-      std::fprintf(stderr, "error: cannot write %s\n", JsonPath);
-      return 1;
-    }
-    std::fprintf(F,
-                 "{\n  \"jobs\": %u,\n  \"malformed_jobs\": %u,\n"
-                 "  \"workers\": %u,\n  \"fault_inject\": %s,\n"
-                 "  \"fault_p\": \"%s\",\n  \"wall_seconds\": %.6f,\n"
-                 "  \"jobs_per_sec\": %.2f,\n  \"failed_jobs\": %u,\n"
-                 "  \"degraded_jobs\": %u,\n  \"recovered_jobs\": %u,\n"
-                 "  \"fault_fires\": %llu,\n  \"first_error\": \"%s\",\n",
-                 TotalJobs, MalformedJobs, Pool.workers(),
-#ifdef GAIA_FAULT_INJECT
-                 "true",
-#else
-                 "false",
-#endif
-                 FaultP ? jsonEscape(FaultP).c_str() : "", St.WallSeconds,
-                 St.JobsPerSecond, St.Failed, St.Degraded, St.Recovered,
-                 static_cast<unsigned long long>(FaultFires),
-                 jsonEscape(St.FirstError).c_str());
-    std::fprintf(F, "  \"fail_kinds\": {");
-    bool First = true;
-    for (const auto &[Kind, N] : FailKinds) {
-      std::fprintf(F, "%s\"%s\": %llu", First ? "" : ", ", Kind.c_str(),
-                   static_cast<unsigned long long>(N));
-      First = false;
-    }
-    std::fprintf(F, "},\n  \"rungs\": {");
-    First = true;
-    for (const auto &[Rung, N] : Rungs) {
-      std::fprintf(F, "%s\"%s\": %llu", First ? "" : ", ", Rung.c_str(),
-                   static_cast<unsigned long long>(N));
-      First = false;
-    }
-    std::fprintf(F,
-                 "},\n  \"ladder\": {\"first_attempt_failures\": %llu, "
-                 "\"cold_retries\": %llu, \"cold_retry_successes\": %llu, "
-                 "\"tight_retries\": %llu, \"tight_retry_successes\": %llu, "
-                 "\"widen_to_top_fallbacks\": %llu, \"quarantined_jobs\": "
-                 "%llu, \"quarantine_short_circuits\": %llu},\n",
-                 static_cast<unsigned long long>(RS.FirstAttemptFailures),
-                 static_cast<unsigned long long>(RS.ColdRetries),
-                 static_cast<unsigned long long>(RS.ColdRetrySuccesses),
-                 static_cast<unsigned long long>(RS.TightRetries),
-                 static_cast<unsigned long long>(RS.TightRetrySuccesses),
-                 static_cast<unsigned long long>(RS.WidenToTopFallbacks),
-                 static_cast<unsigned long long>(RS.QuarantinedJobs),
-                 static_cast<unsigned long long>(RS.QuarantineShortCircuits));
-    std::fprintf(F, "  \"invariant_violations\": %u\n}\n", Violations);
-    std::fclose(F);
-    std::printf("wrote %s\n", JsonPath);
-  }
 
   if (Violations) {
     std::fprintf(stderr, "FAIL: %u invariant violation(s)\n", Violations);

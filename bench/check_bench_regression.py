@@ -56,7 +56,8 @@ the resident-service overload ramp) and fails when
     FailKind::Rejected — refusal is never an exception, never silent),
   * identical_all is false (an admitted, undegraded job's result
     diverged from the sequential oracle) or post_drain_tier_identical
-    is false (the drain-time tier promotion changed results),
+    is false (the query mix stacked over the drained leg's tier changed
+    results),
   * the heaviest non-chaos leg (4x measured capacity) does not shed: an
     overloaded open-loop generator must see shed_rate >= SERVICE_MIN_SHED_4X,
     or its admitted p99 exceeds deadline_ms * (1 + SERVICE_P99_HEADROOM)
@@ -334,8 +335,8 @@ def check_service(path):
         failed = True
     if not current.get("post_drain_tier_identical", False):
         print(
-            "FAIL: the post-drain promoted tier changed an analysis result "
-            "(promotion must be observationally invisible)"
+            "FAIL: the tier stacked over the drained leg's tier changed an "
+            "analysis result (stacking must be observationally invisible)"
         )
         failed = True
 

@@ -15,8 +15,9 @@
 ///   - admitted jobs that completed Ok and undegraded must be
 ///     bit-identical to the sequential oracle fingerprint;
 ///   - p50/p99 submission-to-fulfillment latency of the jobs that ran;
-///   - after the 1x leg, the post-drain promoted tier must serve the
-///     full query mix bit-identically (promotion intact).
+///   - after the 1x leg, the query mix stacked over the leg's tier
+///     (SharedCache::build over it) must serve the full mix
+///     bit-identically through a fresh service.
 ///
 /// When built -DGAIA_FAULT_INJECT=ON the 2x leg runs under chaos: fault
 /// probes armed, rare long stalls (the blind-sleep pathology that
@@ -92,6 +93,46 @@ double percentile(std::vector<double> &Sorted, double Q) {
   return Sorted[std::min(Idx, Sorted.size() - 1)];
 }
 
+/// Stacks the query mix over \p Cache (the drained leg's tier) and
+/// serves the mix through a fresh service over the stacked tier. Tier
+/// growth must be observationally invisible: true iff every job
+/// matches its oracle fingerprint.
+bool stackedTierServesTheMix(const SoakConfig &C,
+                             const std::vector<AnalysisJob> &Queries,
+                             const std::map<std::string, std::string> &Oracle,
+                             const std::shared_ptr<const SharedCache> &Cache) {
+  AnalyzerOptions StackOpts;
+  StackOpts.Shared = Cache;
+  std::string Err;
+  std::shared_ptr<const SharedCache> Stacked =
+      SharedCache::build(Queries, StackOpts, &Err);
+  if (!Stacked) {
+    std::fprintf(stderr, "error: stacked tier build failed: %s\n",
+                 Err.c_str());
+    return false;
+  }
+  ServiceOptions SO;
+  SO.Workers = C.Workers;
+  SO.QueueCapacity = static_cast<uint32_t>(Queries.size());
+  SO.Shared = Stacked;
+  AnalysisService Svc(SO);
+  std::vector<ServiceTicketPtr> Tickets;
+  for (const AnalysisJob &J : Queries)
+    Tickets.push_back(Svc.submit({J, 0}));
+  bool Identical = true;
+  for (size_t I = 0; I != Tickets.size(); ++I) {
+    const AnalysisJob &J = Queries[I];
+    const ServiceOutcome &O = Tickets[I]->wait();
+    if (!O.Ran || analysisFingerprint(O.Outcome.Result) !=
+                      Oracle.at(J.Key + "|" + J.GoalSpec)) {
+      std::fprintf(stderr, "POST-DRAIN TIER MISMATCH: %s (%s)\n",
+                   J.Key.c_str(), J.GoalSpec.c_str());
+      Identical = false;
+    }
+  }
+  return Identical;
+}
+
 /// One soak leg: open-loop pacing against a fresh service over the
 /// frozen \p Cache. Open loop is the honest overload model — the
 /// generator does not slow down when the service sheds, exactly like
@@ -100,8 +141,7 @@ LegResult runLeg(double Multiple, double CapacityJps, bool Chaos,
                  const SoakConfig &C,
                  const std::vector<AnalysisJob> &Queries,
                  const std::map<std::string, std::string> &Oracle,
-                 const std::shared_ptr<const SharedCache> &Cache,
-                 bool VerifyTierAfterDrain, bool *TierIdentical) {
+                 const std::shared_ptr<const SharedCache> &Cache) {
   using Clock = std::chrono::steady_clock;
 
   ServiceOptions SO;
@@ -109,7 +149,6 @@ LegResult runLeg(double Multiple, double CapacityJps, bool Chaos,
   SO.QueueCapacity = C.QueueCapacity;
   SO.Admission = AdmitPolicy::ShedEarliestToMiss;
   SO.Shared = Cache;
-  SO.CollectDeltas = VerifyTierAfterDrain;
 #ifdef GAIA_FAULT_INJECT
   uint64_t FiresBefore = faultinject::totalFires();
   uint64_t StallsBefore = faultinject::totalStalls();
@@ -193,26 +232,6 @@ LegResult runLeg(double Multiple, double CapacityJps, bool Chaos,
     std::sort(Latencies.begin(), Latencies.end());
     Leg.P50Ms = percentile(Latencies, 0.50);
     Leg.P99Ms = percentile(Latencies, 0.99);
-
-    if (VerifyTierAfterDrain && TierIdentical) {
-      // Promotion must be observationally invisible: the promoted tier
-      // serves the full mix bit-identically.
-      *TierIdentical = true;
-      PoolOptions PO;
-      PO.Workers = C.Workers;
-      PO.Shared = Svc.tier();
-      AnalysisPool Pool(PO);
-      std::vector<JobOutcome> Out = Pool.run(Queries);
-      for (size_t I = 0; I != Out.size(); ++I) {
-        const AnalysisJob &J = Queries[I];
-        if (analysisFingerprint(Out[I].Result) !=
-            Oracle.at(J.Key + "|" + J.GoalSpec)) {
-          std::fprintf(stderr, "POST-DRAIN TIER MISMATCH: %s (%s)\n",
-                       J.Key.c_str(), J.GoalSpec.c_str());
-          *TierIdentical = false;
-        }
-      }
-    }
   }
   return Leg;
 }
@@ -305,10 +324,10 @@ int main() {
   std::vector<LegResult> Legs;
   for (double Multiple : {0.5, 1.0, 2.0, 4.0}) {
     bool Chaos = ChaosBuilt && Multiple == 2.0;
-    bool VerifyTier = Multiple == 1.0;
     LegResult Leg =
-        runLeg(Multiple, CapacityJps, Chaos, C, Queries, Oracle, Cache,
-               VerifyTier, VerifyTier ? &TierIdentical : nullptr);
+        runLeg(Multiple, CapacityJps, Chaos, C, Queries, Oracle, Cache);
+    if (Multiple == 1.0)
+      TierIdentical = stackedTierServesTheMix(C, Queries, Oracle, Cache);
     std::printf("  %4.1fx  %5s  %8.0f  %9llu %7llu %7llu  %4.1f%%  %7.1f  "
                 "%7.1f  %llu/%llu/%llu\n",
                 Leg.Multiple, Leg.Chaos ? "yes" : "no", Leg.TargetRate,

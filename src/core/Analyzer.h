@@ -27,7 +27,6 @@ namespace gaia {
 
 class OpCache;      // typegraph/OpCache.h
 class SharedCache;  // runtime/SharedCache.h
-struct CacheDelta;  // typegraph/CacheDelta.h
 
 /// Which abstract domain to run.
 enum class DomainKind : uint8_t {
@@ -89,15 +88,6 @@ struct AnalyzerOptions {
   /// incompatible or null tier is simply ignored; results are identical
   /// either way (the tier is exact), only timings change.
   std::shared_ptr<const SharedCache> Shared;
-  /// Harvest the hot part of the job's private delta cache into
-  /// AnalysisResult::Delta after the run (callers pass those to
-  /// SharedCache::promoteAndRefreeze). Requires the type-graph
-  /// domain with UseOpCache; ignored otherwise. Collection never changes
-  /// the analysis result — only what survives the job.
-  bool CollectDelta = false;
-  /// Minimum per-entry hit count for the harvest (entries resolved fewer
-  /// times are left to die with the worker cache).
-  uint32_t DeltaMinHits = 2;
   /// Wall-clock budget for one analysis in milliseconds (0 = none). The
   /// clock starts when analyzeProgram enters; the deadline is polled at
   /// the engine's per-round checkpoints and in the widening transform
@@ -165,12 +155,6 @@ struct AnalysisResult {
   WideningStats WStats;
   SizeMetrics Sizes;
   RecursionMetrics Recursion;
-
-  /// Hot delta-cache entries harvested after the run (null unless
-  /// AnalyzerOptions::CollectDelta was set and something cleared the
-  /// hit threshold). Self-contained: carries graphs by value plus its
-  /// own symbol-table snapshot, so it outlives the job's caches.
-  std::shared_ptr<const CacheDelta> Delta;
 };
 
 /// Runs the analysis of \p Source for the goal \p GoalSpec (e.g.

@@ -33,8 +33,6 @@ JobOutcome AnalysisPool::runOne(const AnalysisJob &Job, uint32_t WorkerIndex,
   try {
     AnalyzerOptions JobOpts = Options.Opts;
     JobOpts.Shared = Options.Shared;
-    JobOpts.CollectDelta = Options.CollectDeltas;
-    JobOpts.DeltaMinHits = Options.DeltaMinHits;
     JobOutcome O = runContainedJob(Job, JobOpts, Options.Resilience.get(),
                                    static_cast<uint64_t>(JobIndex) * 251);
     O.Worker = WorkerIndex;
@@ -80,11 +78,6 @@ void AnalysisPool::workerLoop(uint32_t WorkerIndex) {
       }
     }
   }
-}
-
-void AnalysisPool::setShared(std::shared_ptr<const SharedCache> Shared) {
-  std::lock_guard<std::mutex> L(M);
-  Options.Shared = std::move(Shared);
 }
 
 std::vector<JobOutcome> AnalysisPool::run(const std::vector<AnalysisJob> &Jobs,

@@ -37,12 +37,6 @@ struct PoolOptions {
   std::shared_ptr<const SharedCache> Shared;
   /// Analyzer configuration applied to every job of a batch.
   AnalyzerOptions Opts;
-  /// Harvest each job's hot delta-cache entries into
-  /// JobOutcome::Result.Delta (AnalyzerOptions::CollectDelta per job).
-  /// The caller passes them to SharedCache::promoteAndRefreeze.
-  bool CollectDeltas = false;
-  /// Per-entry hit threshold for the harvest.
-  uint32_t DeltaMinHits = 2;
   /// Optional retry-with-degradation ladder (runtime/Resilience.h),
   /// shared across workers (and poolable across pools). Null = no
   /// retries: a failed job reports its structured failure as-is.
@@ -102,13 +96,6 @@ public:
   std::vector<JobOutcome> run(const std::vector<AnalysisJob> &Jobs,
                               BatchStats *Stats = nullptr);
 
-  /// Replaces the shared tier jobs of subsequent batches read through.
-  /// Safe between run() calls (where a caller installs a promoted tier):
-  /// run() is not re-entrant, so no batch is in flight, and parked
-  /// workers re-acquire the pool mutex before touching options — the
-  /// store here happens-before their next claim.
-  void setShared(std::shared_ptr<const SharedCache> Shared);
-
 private:
   /// One dispatched batch. Owns copies of the jobs and the result slots:
   /// a worker that woke for this batch but lost every claim race may
@@ -130,7 +117,7 @@ private:
   JobOutcome runOne(const AnalysisJob &Job, uint32_t WorkerIndex,
                     size_t JobIndex) const noexcept;
 
-  PoolOptions Options;
+  const PoolOptions Options;
   std::vector<std::thread> Threads;
   std::mutex M;
   std::condition_variable WorkCV; ///< workers wait for a batch

@@ -76,7 +76,6 @@ struct AnalysisService::Impl {
   explicit Impl(ServiceOptions O) : Options(std::move(O)) {
     if (Options.QueueCapacity == 0)
       Options.QueueCapacity = 1;
-    Tier = Options.Shared;
   }
 
   /// One admitted-but-unstarted job.
@@ -130,10 +129,6 @@ struct AnalysisService::Impl {
   ServiceStats St;   ///< counters + PeakQueueDepth (gauges built on read)
   OverloadState State = OverloadState::Healthy;
   double EwmaJobMs = 0;
-
-  /// Deltas harvested from completed jobs, for the drain-time promotion.
-  std::vector<std::shared_ptr<const CacheDelta>> Deltas;
-  std::shared_ptr<const SharedCache> Tier; ///< guarded by M after drain
 };
 
 AnalysisService::AnalysisService(ServiceOptions Options)
@@ -328,8 +323,6 @@ void AnalysisService::workerLoop(std::shared_ptr<Impl> In,
     // poll reports Deadline rather than us guessing here).
     AnalyzerOptions JobOpts = In->Options.Opts;
     JobOpts.Shared = In->Options.Shared;
-    JobOpts.CollectDelta = In->Options.CollectDeltas;
-    JobOpts.DeltaMinHits = In->Options.DeltaMinHits;
     JobOpts.Cancel = Slot->Cancel;
     if (E.HasDeadline) {
       double RemainMs = msSince(ServiceClock::now(), E.DeadlineAt);
@@ -358,8 +351,6 @@ void AnalysisService::workerLoop(std::shared_ptr<Impl> In,
       In->EwmaJobMs = In->EwmaJobMs == 0
                           ? JobMs
                           : 0.8 * In->EwmaJobMs + 0.2 * JobMs;
-      if (Out.Outcome.Result.Delta)
-        In->Deltas.push_back(Out.Outcome.Result.Delta);
       Slot->Busy = false;
       Slot->Cancel = nullptr;
       Slot->DeadlineMs = 0;
@@ -480,9 +471,6 @@ void AnalysisService::drain(std::chrono::milliseconds FlushBudget) {
 
   {
     std::lock_guard<std::mutex> L(In->M);
-    if (In->Tier && !In->Deltas.empty())
-      In->Tier = In->Tier->promoteAndRefreeze(In->Deltas);
-    In->Deltas.clear();
     In->Drained = true;
   }
 }
@@ -517,10 +505,5 @@ uint32_t AnalysisService::workers() const {
 bool AnalysisService::drained() const {
   std::lock_guard<std::mutex> L(In->M);
   return In->Drained;
-}
-
-std::shared_ptr<const SharedCache> AnalysisService::tier() const {
-  std::lock_guard<std::mutex> L(In->M);
-  return In->Tier;
 }
 

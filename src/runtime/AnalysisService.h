@@ -33,12 +33,10 @@
 ///     comes home.
 ///   - a graceful lifecycle: drain(budget) closes admission, flushes
 ///     the queue for up to the budget, sheds the remainder with
-///     structured results, joins the workers, and promotes the deltas
-///     completed jobs harvested into a new tier
-///     (SharedCache::promoteAndRefreeze); the tier the service was built
-///     over is only read. The post-drain tier serves a fresh batch
-///     bit-identically (caching is observationally invisible; see
-///     ROADMAP).
+///     structured results and joins the workers. The tier the service
+///     was built over is only read, so it outlives the service
+///     unchanged; a caller grows it by stacking a SharedCache::build
+///     over it and serving the new tier from a fresh service.
 ///
 /// All queue-side time arithmetic goes through ServiceClock
 /// (support/Clock.h) so tests can age the queue without sleeping.
@@ -91,15 +89,11 @@ struct ServiceOptions {
   /// the deadline is end-to-end from admission, so a job that waited in
   /// the queue runs with only its remaining budget.
   AnalyzerOptions Opts;
-  /// Initial frozen shared tier (may be null: jobs run cold and drain()
-  /// promotes nothing).
+  /// Frozen shared tier every job reads through (may be null: jobs run
+  /// cold).
   std::shared_ptr<const SharedCache> Shared;
   /// Optional retry-with-degradation ladder, as in PoolOptions.
   std::shared_ptr<ResilienceManager> Resilience;
-  /// Harvest hot delta-cache entries from completed jobs; drain()
-  /// promotes them into the next tier.
-  bool CollectDeltas = false;
-  uint32_t DeltaMinHits = 2;
   /// Overload state machine: Saturated when queue depth reaches this
   /// fraction of QueueCapacity (or the head has aged half its shedding
   /// horizon).
@@ -243,20 +237,13 @@ public:
   /// Graceful shutdown. Closes admission (later submissions are
   /// Rejected), lets workers flush the queue for up to \p FlushBudget
   /// of real wall time, sheds whatever is still queued with structured
-  /// Rejected results, cancels in-flight jobs past the budget, joins
-  /// the workers and the watchdog, and promotes the harvested deltas
-  /// into a new tier (the tier the service was built over is left as it
-  /// was). Call at most once (the destructor calls it with a zero budget
-  /// if needed); a stuck worker that the watchdog already detached does
-  /// not block the join.
+  /// Rejected results, cancels in-flight jobs past the budget, and joins
+  /// the workers and the watchdog. Call at most once (the destructor
+  /// calls it with a zero budget if needed); a stuck worker that the
+  /// watchdog already detached does not block the join.
   void drain(std::chrono::milliseconds FlushBudget);
 
   bool drained() const;
-
-  /// The current frozen tier: the construction-time tier until drain(),
-  /// the promoted one after (the same tier when no job harvested a
-  /// delta). Null when the service was built tierless.
-  std::shared_ptr<const SharedCache> tier() const;
 
 private:
   struct Impl;

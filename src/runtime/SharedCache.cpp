@@ -85,33 +85,6 @@ uint64_t arenaBytes(const FrozenOpTier &T) {
 
 } // namespace
 
-void SharedCache::primeAndFillStats() {
-  // Pre-prime the leaf constants: resolve each against the frozen tier
-  // so the cached (epoch, id) pairs survive into every job's copy. A
-  // constant whose language the tier does not hold simply stays
-  // unprimed (the job's delta interner picks it up on first use).
-  Consts.AnyList = TypeGraph::makeAnyList(Syms);
-  {
-    GraphInterner Primer(Syms, Ops->Intern);
-    Primer.intern(Consts.Any);
-    Primer.intern(Consts.Int);
-    Primer.intern(Consts.Bottom);
-    Primer.intern(*Consts.AnyList);
-  }
-
-  // Warm the functor-rank memo so every job's snapshot copy starts with
-  // valid ranks instead of each recomputing them on first sort.
-  if (Syms.numFunctors() != 0)
-    Syms.functorRank(0);
-
-  St.Graphs = Ops->Intern->size();
-  St.OpResults = Ops->resultCount();
-  St.PfSets = Ops->Pf->size();
-  St.Symbols = Syms.numSymbols();
-  St.TierBytes = estimateTierBytes(*Ops);
-  St.ArenaBytes = arenaBytes(*Ops);
-}
-
 std::shared_ptr<const SharedCache>
 SharedCache::build(const std::vector<AnalysisJob> &Warmup,
                    const AnalyzerOptions &Opts, std::string *Err) {
@@ -156,35 +129,31 @@ SharedCache::build(const std::vector<AnalysisJob> &Warmup,
   }
 
   SC->Ops = Warm.freeze();
-  SC->primeAndFillStats();
-  SC->St.WarmupSeconds = secondsSince(Start);
-  return SC;
-}
 
-std::shared_ptr<const SharedCache> SharedCache::promoteAndRefreeze(
-    const std::vector<std::shared_ptr<const CacheDelta>> &Deltas) const {
-  auto Start = std::chrono::steady_clock::now();
-  std::shared_ptr<SharedCache> SC(new SharedCache());
-  SC->BuiltOpts = BuiltOpts;
-  SC->St.WarmupJobs = St.WarmupJobs;
-  SC->St.AllConverged = St.AllConverged;
+  // Pre-prime the leaf constants: resolve each against the frozen tier
+  // so the cached (epoch, id) pairs survive into every job's copy. A
+  // constant whose language the tier does not hold simply stays
+  // unprimed (the job's delta interner picks it up on first use).
+  SC->Consts.AnyList = TypeGraph::makeAnyList(SC->Syms);
+  {
+    GraphInterner Primer(SC->Syms, SC->Ops->Intern);
+    Primer.intern(SC->Consts.Any);
+    Primer.intern(SC->Consts.Int);
+    Primer.intern(SC->Consts.Bottom);
+    Primer.intern(*SC->Consts.AnyList);
+  }
 
-  // Same table, same functor ids: the absorb below hits its identity
-  // fast path for deltas harvested from jobs that ran over this tier
-  // (their snapshots started from this very table). Deltas from foreign
-  // tables relocate by (name, arity) instead — still exact.
-  SC->Syms = Syms;
-  NormalizeOptions Norm;
-  Norm.OrCap = BuiltOpts.OrCap;
-  OpCache Warm(SC->Syms, Norm, Ops);
-  for (const std::shared_ptr<const CacheDelta> &D : Deltas)
-    if (D)
-      SC->St.AbsorbedEntries += Warm.absorbDelta(SC->Syms, *D);
+  // Warm the functor-rank memo so every job's snapshot copy starts with
+  // valid ranks instead of each recomputing them on first sort.
+  if (SC->Syms.numFunctors() != 0)
+    SC->Syms.functorRank(0);
 
-  // Stacking freeze: this tier's ids [0, size) are the new tier's
-  // prefix, absorbed entries append past them.
-  SC->Ops = Warm.freeze();
-  SC->primeAndFillStats();
+  SC->St.Graphs = SC->Ops->Intern->size();
+  SC->St.OpResults = SC->Ops->resultCount();
+  SC->St.PfSets = SC->Ops->Pf->size();
+  SC->St.Symbols = SC->Syms.numSymbols();
+  SC->St.TierBytes = estimateTierBytes(*SC->Ops);
+  SC->St.ArenaBytes = arenaBytes(*SC->Ops);
   SC->St.WarmupSeconds = secondsSince(Start);
   return SC;
 }

@@ -39,7 +39,6 @@
 
 #include "core/Analyzer.h"
 #include "domains/TypeLeaf.h"
-#include "typegraph/CacheDelta.h"
 #include "typegraph/OpCache.h"
 
 #include <memory>
@@ -58,13 +57,13 @@ struct AnalysisJob {
 /// Immutable after construction; share one instance across any number of
 /// concurrent workers via shared_ptr (AnalyzerOptions::Shared).
 ///
-/// Tier promotion (DESIGN.md "Tier promotion"): build() freezes a warmup
-/// into tier N, optionally stacked on a previous tier; promoteAndRefreeze
-/// stacks hot worker-delta entries into tier N+1. Both preserve every id
-/// of the tier underneath, and both produce observationally identical
-/// analysis results — every cached entry is an exact pure function of
-/// operand languages, so presence or absence of an entry changes only
-/// timing, never output.
+/// Tier stacking (DESIGN.md "Tier stacking"): build() freezes a warmup
+/// into a tier, and a build over a previous tier N stacks the warmup's
+/// new entries on top of N to make tier N+1. Stacking preserves every id
+/// of the tier underneath and leaves N as it was, and a stacked tier
+/// produces observationally identical analysis results — every cached
+/// entry is an exact pure function of operand languages, so presence or
+/// absence of an entry changes only timing, never output.
 class SharedCache {
 public:
   struct BuildStats {
@@ -83,28 +82,24 @@ public:
     /// Exact bytes in the mprotect-sealed tier arenas (GAIA_AUDIT
     /// builds; 0 otherwise).
     uint64_t ArenaBytes = 0;
-    /// Entries newly recorded from absorbed deltas (promotion only).
-    uint64_t AbsorbedEntries = 0;
   };
 
   /// Runs \p Warmup sequentially under \p Opts against one accumulating
   /// cache and freezes it. Returns null (with \p Err set) if a warmup
   /// job fails to parse or analyze, or if \p Opts cannot use the op
-  /// cache (PF domain / UseOpCache off). \p Opts.Shared, if set, is the
-  /// tier to layer the warmup itself over — freezing a batch on top of a
-  /// previous batch's cache.
+  /// cache (PF domain / UseOpCache off).
+  ///
+  /// \p Opts.Shared, if set, is the tier N to stack on. When N is
+  /// compatibleWith(\p Opts), the warmup runs over N and the result is
+  /// tier N+1: it starts from N's symbol snapshot, every id below
+  /// N's graph count keeps N's canonical graph, and the warmup's new
+  /// entries append past them. N is only read (concurrent jobs over N
+  /// may keep running) and is left as it was. When N is incompatible
+  /// (say, another OrCap), it is ignored and the result is a fresh tier,
+  /// the same as a build without \p Opts.Shared.
   static std::shared_ptr<const SharedCache>
   build(const std::vector<AnalysisJob> &Warmup, const AnalyzerOptions &Opts,
         std::string *Err = nullptr);
-
-  /// Builds tier N+1 from this tier plus the surviving hot entries of
-  /// \p Deltas (harvested from jobs that ran over this tier — see
-  /// AnalyzerOptions::CollectDelta). Stacking: every id of this tier is
-  /// preserved and absorbed entries append past them; this tier is left
-  /// as it was. Null deltas in the vector are skipped. The promoted tier
-  /// serves bit-identical results: absorbed entries are exact.
-  std::shared_ptr<const SharedCache> promoteAndRefreeze(
-      const std::vector<std::shared_ptr<const CacheDelta>> &Deltas) const;
 
   /// The deterministic tier byte estimate (stats().TierBytes).
   uint64_t tierBytes() const { return St.TierBytes; }
@@ -133,11 +128,6 @@ public:
 
 private:
   SharedCache() = default;
-
-  /// Shared tail of build / promote: primes the leaf constants
-  /// against the freshly frozen tier, warms the functor-rank memo, and
-  /// fills the size and byte figures of St.
-  void primeAndFillStats();
 
   SymbolTable Syms;
   std::shared_ptr<const FrozenOpTier> Ops;

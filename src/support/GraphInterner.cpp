@@ -159,7 +159,6 @@ CanonId GraphInterner::mint(const TypeGraph &G, Bucket &B) {
   ++St.Misses;
   CanonId Id = Base + static_cast<CanonId>(Canon.size());
   Canon.push_back(G);
-  DeltaHits.push_back(0);
   Canon.back().setInternCache(Epoch, Id);
   B.emplace_back(&Canon.back(), Id);
   G.setInternCache(Epoch, Id);
@@ -181,13 +180,7 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
   // here as-is.
   if (G.internEpoch() == Epoch) {
     ++St.IdHits;
-    CanonId Id = G.internId();
-    // A shared-tier id can be cached under this interner's own epoch
-    // (alias shapes recorded privately resolve to tier ids), so the heat
-    // tick routes on the id, not on the cache's epoch.
-    if (Id >= Base)
-      ++DeltaHits[Id - Base];
-    return Id;
+    return G.internId();
   }
   if (Shared && G.internEpoch() == Shared->Epoch) {
     ++St.SharedHits;
@@ -217,8 +210,6 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
   if (CanonId Id = findShape(B, G); Id != InvalidCanon) {
     ++St.StructHits;
     G.setInternCache(Epoch, Id);
-    if (Id >= Base)
-      ++DeltaHits[Id - Base];
     return Id;
   }
 
@@ -254,8 +245,6 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
         }
       if (CanonId Id = findShape(StructBuckets, HC, C); Id != InvalidCanon) {
         ++St.AutoHits;
-        if (Id >= Base)
-          ++DeltaHits[Id - Base];
         return alias(G, B, Id, Epoch);
       }
       // New language: the input stays its representative, and the
@@ -279,10 +268,7 @@ CanonId GraphInterner::intern(const TypeGraph &G) {
       return alias(G, B, It->second, Shared->Epoch);
     }
   if (auto It = AutoMap.find(AKey); It != AutoMap.end()) {
-    // The private automaton map only records privately assigned ids
-    // (>= Base), so this is always a delta-heat tick.
     ++St.AutoHits;
-    ++DeltaHits[It->second - Base];
     return alias(G, B, It->second, Epoch);
   }
   CanonId Id = mint(G, B);

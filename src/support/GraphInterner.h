@@ -221,12 +221,6 @@ public:
   /// Number of languages interned privately (beyond the shared tier).
   uint32_t deltaSize() const { return static_cast<uint32_t>(Canon.size()); }
 
-  /// The I-th privately interned graph (I in [0, deltaSize())).
-  const TypeGraph &deltaGraph(uint32_t I) const { return Canon[I]; }
-  /// How often the I-th private graph was re-resolved after its first
-  /// interning — the promotion heat signal (OpCache::harvestDelta).
-  uint32_t deltaHits(uint32_t I) const { return DeltaHits[I]; }
-
   /// Snapshots this interner (shared tier included, ids preserved) into
   /// an immutable tier safe for unsynchronized concurrent lookups. By
   /// default the tier's audit-build storage is sealed before returning;
@@ -248,9 +242,6 @@ private:
   /// Private canonical representatives, indexed by CanonId - Base.
   /// Deque: stable references across growth.
   std::deque<TypeGraph> Canon;
-  /// Re-resolution counts parallel to Canon (cheap per-entry heat
-  /// counters for delta promotion).
-  std::deque<uint32_t> DeltaHits;
   using Bucket = std::vector<std::pair<const TypeGraph *, CanonId>>;
 
   /// Assigns the next id to \p G's new language: stores \p G as its

@@ -28,13 +28,12 @@ bool OpCache::includes(const TypeGraph &Big, const TypeGraph &Small) {
   auto It = Incl.find(Key);
   if (It != Incl.end()) {
     ++St.Hits;
-    ++It->second.Hits;
-    return It->second.Value != 0;
+    return It->second != 0;
   }
   ++St.Misses;
   bool Result =
       graphIncludes(Interned.graph(B), Interned.graph(S), Syms, &WScratch);
-  Incl.emplace(Key, Counted<uint8_t>{uint8_t(Result ? 1 : 0)});
+  Incl.emplace(Key, uint8_t(Result ? 1 : 0));
   return Result;
 }
 
@@ -61,8 +60,7 @@ TypeGraph OpCache::unionOf(const TypeGraph &A, const TypeGraph &B) {
   auto It = Union.find(Key);
   if (It != Union.end()) {
     ++St.Hits;
-    ++It->second.Hits;
-    return Interned.graph(It->second.Value);
+    return Interned.graph(It->second);
   }
   ++St.Misses;
   // Inclusion fast path: when one language contains the other, the
@@ -76,17 +74,17 @@ TypeGraph OpCache::unionOf(const TypeGraph &A, const TypeGraph &B) {
   // are memoized product walks, far cheaper than determinize + minimize
   // + unfold, and the recorded memo makes the next lookup a plain hit.
   if (certified(IA) && includes(Interned.graph(IA), Interned.graph(IB))) {
-    Union.emplace(Key, Counted<CanonId>{IA});
+    Union.emplace(Key, IA);
     return Interned.graph(IA);
   }
   if (certified(IB) && includes(Interned.graph(IB), Interned.graph(IA))) {
-    Union.emplace(Key, Counted<CanonId>{IB});
+    Union.emplace(Key, IB);
     return Interned.graph(IB);
   }
   CanonId R = Interned.intern(graphUnion(Interned.graph(IA),
                                          Interned.graph(IB), Syms, Norm,
                                          &Scratch));
-  Union.emplace(Key, Counted<CanonId>{R});
+  Union.emplace(Key, R);
   return Interned.graph(R);
 }
 
@@ -109,25 +107,24 @@ TypeGraph OpCache::intersectOf(const TypeGraph &A, const TypeGraph &B) {
   auto It = Inter.find(Key);
   if (It != Inter.end()) {
     ++St.Hits;
-    ++It->second.Hits;
-    return Interned.graph(It->second.Value);
+    return Interned.graph(It->second);
   }
   ++St.Misses;
   // Inclusion fast path (see unionOf): the intersection with a
   // containing language is the contained operand itself — guarded on
   // the *returned* operand's certificate for the same reason.
   if (certified(IB) && includes(Interned.graph(IA), Interned.graph(IB))) {
-    Inter.emplace(Key, Counted<CanonId>{IB});
+    Inter.emplace(Key, IB);
     return Interned.graph(IB);
   }
   if (certified(IA) && includes(Interned.graph(IB), Interned.graph(IA))) {
-    Inter.emplace(Key, Counted<CanonId>{IA});
+    Inter.emplace(Key, IA);
     return Interned.graph(IA);
   }
   CanonId R = Interned.intern(graphIntersect(Interned.graph(IA),
                                              Interned.graph(IB), Syms, Norm,
                                              &Scratch, &WScratch));
-  Inter.emplace(Key, Counted<CanonId>{R});
+  Inter.emplace(Key, R);
   return Interned.graph(R);
 }
 
@@ -156,10 +153,9 @@ TypeGraph OpCache::widenOf(const TypeGraph &Old, const TypeGraph &New,
   auto It = Widen.find(Key);
   if (It != Widen.end()) {
     ++St.Hits;
-    ++It->second.Hits;
     if (WStats)
       ++WStats->CacheHits;
-    return Interned.graph(It->second.Value);
+    return Interned.graph(It->second);
   }
   ++St.Misses;
   // Inclusion fast path: graphWiden's first step returns Old when New
@@ -170,13 +166,13 @@ TypeGraph OpCache::widenOf(const TypeGraph &Old, const TypeGraph &New,
   if (includes(Interned.graph(IO), Interned.graph(IN))) {
     if (WStats)
       ++WStats->Invocations;
-    Widen.emplace(Key, Counted<CanonId>{IO});
+    Widen.emplace(Key, IO);
     return Interned.graph(IO);
   }
   CanonId R = Interned.intern(detail::graphWidenNotIncluded(
       Interned.graph(IO), Interned.graph(IN), Syms, Opts, WStats, &Scratch,
       &WScratch));
-  Widen.emplace(Key, Counted<CanonId>{R});
+  Widen.emplace(Key, R);
   return Interned.graph(R);
 }
 
@@ -201,18 +197,16 @@ bool OpCache::restrictOf(const TypeGraph &V, FunctorId Fn,
   auto It = Restrict.find(Key);
   if (It != Restrict.end()) {
     ++St.Hits;
-    ++It->second.Hits;
-    return Unpack(It->second.Value);
+    return Unpack(It->second);
   }
   ++St.Misses;
-  Counted<RestrictMemo> R;
-  R.Value.Ok = graphRestrict(Interned.graph(Id), Fn, Syms, Norm, ArgsOut,
-                             &Scratch);
+  RestrictMemo R;
+  R.Ok = graphRestrict(Interned.graph(Id), Fn, Syms, Norm, ArgsOut, &Scratch);
   for (const TypeGraph &A : ArgsOut)
-    R.Value.Args.push_back(Interned.intern(A));
+    R.Args.push_back(Interned.intern(A));
   // Hand back the canonical representatives: they carry their interner
   // caches, so downstream operations on these values intern in O(1).
-  bool Ok = Unpack(R.Value);
+  bool Ok = Unpack(R);
   Restrict.emplace(Key, std::move(R));
   return Ok;
 }
@@ -235,13 +229,12 @@ TypeGraph OpCache::constructOf(FunctorId Fn,
   auto It = Construct.find(Key);
   if (It != Construct.end()) {
     ++St.Hits;
-    ++It->second.Hits;
-    return Interned.graph(It->second.Value);
+    return Interned.graph(It->second);
   }
   ++St.Misses;
   CanonId R =
       Interned.intern(graphConstruct(Fn, Args, Syms, Norm, &Scratch));
-  Construct.emplace(std::move(Key), Counted<CanonId>{R});
+  Construct.emplace(std::move(Key), R);
   return Interned.graph(R);
 }
 
@@ -279,7 +272,7 @@ std::shared_ptr<const FrozenOpTier> OpCache::freeze() const {
   B.Norm = Norm;
   // Merge: the shared tier's results first, then the private delta. Keys
   // never conflict on semantics (both tiers record the same pure
-  // function of the operand languages), so emplace's keep-first policy
+  // function of the operand languages), so insert's keep-first policy
   // is immaterial.
   if (Shared) {
     B.Incl.insert(Shared->Incl.begin(), Shared->Incl.end());
@@ -289,178 +282,14 @@ std::shared_ptr<const FrozenOpTier> OpCache::freeze() const {
     B.Restrict.insert(Shared->Restrict.begin(), Shared->Restrict.end());
     B.Construct.insert(Shared->Construct.begin(), Shared->Construct.end());
   }
-  // The per-entry heat counters stay behind: the tier stores plain
-  // results (heat is a property of a delta, not of frozen entries).
-  for (const auto &[K, V] : Incl)
-    B.Incl.emplace(K, V.Value);
-  for (const auto &[K, V] : Union)
-    B.Union.emplace(K, V.Value);
-  for (const auto &[K, V] : Inter)
-    B.Inter.emplace(K, V.Value);
-  for (const auto &[K, V] : Widen)
-    B.Widen.emplace(K, V.Value);
-  for (const auto &[K, V] : Restrict)
-    B.Restrict.emplace(K, V.Value);
-  for (const auto &[K, V] : Construct)
-    B.Construct.emplace(K, V.Value);
+  B.Incl.insert(Incl.begin(), Incl.end());
+  B.Union.insert(Union.begin(), Union.end());
+  B.Inter.insert(Inter.begin(), Inter.end());
+  B.Widen.insert(Widen.begin(), Widen.end());
+  B.Restrict.insert(Restrict.begin(), Restrict.end());
+  B.Construct.insert(Construct.begin(), Construct.end());
 
   auto T = std::make_shared<const FrozenOpTier>(std::move(B));
   T->sealStorage();
   return T;
-}
-
-std::shared_ptr<const CacheDelta>
-OpCache::harvestDelta(uint32_t MinHits) const {
-  auto D = std::make_shared<CacheDelta>();
-  auto G = [&](CanonId Id) -> const TypeGraph & {
-    return Interned.graph(Id);
-  };
-
-  // Hot privately-interned languages: even without a hot operation
-  // entry, promoting the language lets every job of the next batch
-  // resolve it in the tier instead of minting a private id for it (a
-  // graph copy into the delta) on first contact.
-  for (uint32_t I = 0; I != Interned.deltaSize(); ++I)
-    if (Interned.deltaHits(I) >= MinHits)
-      D->Graphs.push_back(Interned.deltaGraph(I));
-
-  for (const auto &[K, V] : Incl)
-    if (V.Hits >= MinHits)
-      D->Incl.push_back({G(K.first), G(K.second), V.Value != 0});
-  for (const auto &[K, V] : Union)
-    if (V.Hits >= MinHits)
-      D->Union.push_back({G(K.first), G(K.second), G(V.Value)});
-  for (const auto &[K, V] : Inter)
-    if (V.Hits >= MinHits)
-      D->Inter.push_back({G(K.first), G(K.second), G(V.Value)});
-  for (const auto &[K, V] : Widen)
-    if (V.Hits >= MinHits)
-      D->Widen.push_back({G(K.first), G(K.second), G(V.Value)});
-  for (const auto &[K, V] : Restrict)
-    if (V.Hits >= MinHits) {
-      CacheDelta::RestrictEntry E;
-      E.V = G(K.first);
-      E.Name = Syms.functorName(K.second);
-      E.Arity = Syms.functorArity(K.second);
-      E.Ok = V.Value.Ok;
-      for (CanonId A : V.Value.Args)
-        E.Args.push_back(G(A));
-      D->Restrict.push_back(std::move(E));
-    }
-  for (const auto &[K, V] : Construct)
-    if (V.Hits >= MinHits) {
-      CacheDelta::ConstructEntry E;
-      E.Name = Syms.functorName(K[0]);
-      E.Arity = Syms.functorArity(K[0]);
-      for (size_t I = 1; I != K.size(); ++I)
-        E.Args.push_back(G(K[I]));
-      E.R = G(V.Value);
-      D->Construct.push_back(std::move(E));
-    }
-
-  if (D->entryCount() == 0)
-    return nullptr;
-  // Copied last: a cold harvest shouldn't pay for a table snapshot.
-  D->Syms = Syms;
-  return D;
-}
-
-uint64_t OpCache::absorbDelta(SymbolTable &TargetSyms, const CacheDelta &D) {
-  assert(&TargetSyms == &Syms &&
-         "absorb target must be the table this cache was built over");
-
-  // Functor map: the delta's functor ids -> this table's, matched by
-  // (name, arity); unknown functors are interned. Appending functors
-  // never reorders existing names, so the name-rank sort order behind
-  // canonical or-successor ordering is stable and already-normalized
-  // graphs in this cache stay canonical.
-  const uint32_t NumF = D.Syms.numFunctors();
-  std::vector<FunctorId> FMap(NumF);
-  bool Identity = true;
-  for (uint32_t F = 0; F != NumF; ++F) {
-    FMap[F] =
-        TargetSyms.functor(D.Syms.functorName(F), D.Syms.functorArity(F));
-    Identity = Identity && FMap[F] == F;
-  }
-
-  // Import one carried graph into this cache's id space. The identity
-  // fast path passes the value straight to the interner (the common
-  // case: promotion onto the tier the delta's job ran over, where the
-  // job's table snapshot started from this very table). Otherwise the
-  // functor ids are rewritten through the map and the graph is
-  // re-normalized: the rewrite preserves the canonical shape (successor
-  // sort order depends on functor *names*, which the map preserves)
-  // but invalidates the certificate, and normalizeGraph re-earns it.
-  auto Import = [&](const TypeGraph &In) {
-    if (Identity)
-      return In;
-    TypeGraph C = In;
-    for (NodeId V = 0; V != C.numNodes(); ++V)
-      if (std::as_const(C).node(V).Kind == NodeKind::Func)
-        C.node(V).Fn = FMap[std::as_const(C).node(V).Fn];
-    return normalizeGraph(C, TargetSyms, Norm, &Scratch);
-  };
-  auto InternG = [&](const TypeGraph &In) {
-    return Interned.intern(Import(In));
-  };
-
-  uint64_t Absorbed = 0;
-  for (const TypeGraph &G : D.Graphs) {
-    InternG(G);
-    ++Absorbed;
-  }
-  for (const CacheDelta::InclEntry &E : D.Incl) {
-    CanonId B = InternG(E.Big), S = InternG(E.Small);
-    if (B == S)
-      continue; // the same-id fast path answers this without a memo
-    Absorbed += Incl
-                    .emplace(std::make_pair(B, S),
-                             Counted<uint8_t>{uint8_t(E.Result ? 1 : 0)})
-                    .second;
-  }
-  for (const CacheDelta::PairEntry &E : D.Union) {
-    CanonId A = InternG(E.A), B = InternG(E.B);
-    Absorbed += Union
-                    .emplace(std::make_pair(std::min(A, B), std::max(A, B)),
-                             Counted<CanonId>{InternG(E.R)})
-                    .second;
-  }
-  for (const CacheDelta::PairEntry &E : D.Inter) {
-    CanonId A = InternG(E.A), B = InternG(E.B);
-    Absorbed += Inter
-                    .emplace(std::make_pair(std::min(A, B), std::max(A, B)),
-                             Counted<CanonId>{InternG(E.R)})
-                    .second;
-  }
-  for (const CacheDelta::PairEntry &E : D.Widen) {
-    // Widening is not commutative: A is Old, B is New, key order as-is.
-    CanonId A = InternG(E.A), B = InternG(E.B);
-    Absorbed += Widen
-                    .emplace(std::make_pair(A, B),
-                             Counted<CanonId>{InternG(E.R)})
-                    .second;
-  }
-  for (const CacheDelta::RestrictEntry &E : D.Restrict) {
-    FunctorId Fn = TargetSyms.functor(E.Name, E.Arity);
-    Counted<RestrictMemo> M;
-    M.Value.Ok = E.Ok;
-    for (const TypeGraph &A : E.Args)
-      M.Value.Args.push_back(InternG(A));
-    Absorbed +=
-        Restrict
-            .emplace(std::make_pair(InternG(E.V), static_cast<uint32_t>(Fn)),
-                     std::move(M))
-            .second;
-  }
-  for (const CacheDelta::ConstructEntry &E : D.Construct) {
-    std::vector<uint32_t> Key;
-    Key.reserve(E.Args.size() + 1);
-    Key.push_back(TargetSyms.functor(E.Name, E.Arity));
-    for (const TypeGraph &A : E.Args)
-      Key.push_back(InternG(A));
-    Absorbed +=
-        Construct.emplace(std::move(Key), Counted<CanonId>{InternG(E.R)})
-            .second;
-  }
-  return Absorbed;
 }

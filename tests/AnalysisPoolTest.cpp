@@ -183,15 +183,16 @@ TEST_F(AnalysisPoolTest, RefreezingLayersANewTierOverTheOld) {
   }
 }
 
-/// Three stacked generations on one pool, with promotion between
-/// batches (what the batch service's drain does). Every job of every
+/// Three generations, each served by a fresh pool over the current tier
+/// and then stacked into the tier the next generation reads (the way a
+/// service grows its tier between batches). Every job of every
 /// generation must stay bit-identical to its cold run while the tier
-/// underneath is promoted (ids stacked).
+/// underneath grows (ids stacked).
 TEST_F(AnalysisPoolTest, LifecycleRotationAcrossThreeGenerationsStaysExact) {
   // Base workload: four list-heavy programs under their published goals
   // plus a "list" variant of each. The variants are *not* in the warmup
   // tier, so generation 0 computes them in worker deltas — exactly what
-  // promotion is supposed to rescue for generations 1 and 2.
+  // stacking is supposed to rescue for generations 1 and 2.
   std::vector<AnalysisJob> Base;
   for (const char *Key : {"QU", "DS", "PL", "BR"}) {
     const BenchmarkProgram *B = findBenchmark(Key);
@@ -206,8 +207,8 @@ TEST_F(AnalysisPoolTest, LifecycleRotationAcrossThreeGenerationsStaysExact) {
   }
 
   // One generation-unique churn job per batch: its functors appear in no
-  // other generation, so whatever of it is promoted carries symbols the
-  // tier's table has never seen.
+  // other generation, so stacking it brings symbols the tier's table has
+  // never seen.
   auto Churn = [](unsigned Gen) {
     std::string Tag = "pool_g" + std::to_string(Gen);
     AnalysisJob J;
@@ -232,19 +233,14 @@ TEST_F(AnalysisPoolTest, LifecycleRotationAcrossThreeGenerationsStaysExact) {
   };
 
   std::shared_ptr<const SharedCache> Tier = Cache;
-  PoolOptions PO;
-  PO.Workers = 4;
-  PO.Shared = Tier;
-  PO.CollectDeltas = true;
-  AnalysisPool Pool(PO);
-
-  uint32_t Promotions = 0;
-  uint64_t PromotedEntries = 0;
   uint64_t FirstSharedHits = 0, LastSharedHits = 0;
   for (unsigned Gen = 0; Gen != 3; ++Gen) {
     std::vector<AnalysisJob> Batch = Base;
     Batch.push_back(Churn(Gen));
-    Pool.setShared(Tier);
+    PoolOptions PO;
+    PO.Workers = 4;
+    PO.Shared = Tier;
+    AnalysisPool Pool(PO);
     BatchStats St;
     std::vector<JobOutcome> Out = Pool.run(Batch, &St);
     ASSERT_EQ(Out.size(), Batch.size());
@@ -256,21 +252,19 @@ TEST_F(AnalysisPoolTest, LifecycleRotationAcrossThreeGenerationsStaysExact) {
       FirstSharedHits = St.SharedHits;
     LastSharedHits = St.SharedHits;
 
-    std::vector<std::shared_ptr<const CacheDelta>> Deltas;
-    for (const JobOutcome &O : Out)
-      if (O.Result.Delta)
-        Deltas.push_back(O.Result.Delta);
-    if (Deltas.empty())
-      continue;
-    Tier = Tier->promoteAndRefreeze(Deltas);
-    ++Promotions;
-    PromotedEntries += Tier->stats().AbsorbedEntries;
+    AnalyzerOptions Opts;
+    Opts.Shared = Tier;
+    std::string Err;
+    std::shared_ptr<const SharedCache> Next =
+        SharedCache::build(Batch, Opts, &Err);
+    ASSERT_NE(Next, nullptr) << Err;
+    EXPECT_GT(Next->stats().Graphs, Tier->stats().Graphs)
+        << "generation " << Gen << "'s churn is new to the tier";
+    Tier = std::move(Next);
   }
 
-  // The promotion actually happened, and the promoted variants made the
-  // last batch resolve more operations from the tier than the first.
-  EXPECT_GT(Promotions, 0u);
-  EXPECT_GT(PromotedEntries, 0u);
+  // The stacked variants made the last batch resolve more operations
+  // from the tier than the first.
   EXPECT_GT(LastSharedHits, FirstSharedHits);
 }
 

@@ -156,56 +156,48 @@ TEST(FrozenTierAuditDeathTest, OpTierPostFreezeWriteFaults) {
 }
 
 #ifdef GAIA_AUDIT
-/// A one-program warmup tier plus one harvested variant delta — the
-/// smallest honest refreeze cycle (tests the promotion path, not the
-/// analysis; TierLifecycleTest owns the bit-identity story).
+/// A one-program warmup tier with its "list" variant stacked on top —
+/// the smallest honest stacked build (tests the stacking freeze, not
+/// the analysis; TierLifecycleTest owns the bit-identity story). Sets
+/// \p BaseOut to the tier underneath.
 std::shared_ptr<const SharedCache>
-buildTierWithDelta(std::shared_ptr<const CacheDelta> &DeltaOut) {
+buildStackedTier(std::shared_ptr<const SharedCache> &BaseOut) {
   const BenchmarkProgram *B = findBenchmark("QU");
   if (!B)
     return nullptr;
   std::vector<AnalysisJob> Warmup{{B->Key, B->Source, B->GoalSpec}};
   std::string Err;
-  std::shared_ptr<const SharedCache> Cache =
-      SharedCache::build(Warmup, AnalyzerOptions{}, &Err);
-  if (!Cache)
+  BaseOut = SharedCache::build(Warmup, AnalyzerOptions{}, &Err);
+  if (!BaseOut)
     return nullptr;
   std::string Goal = B->GoalSpec;
   size_t Pos = Goal.find("any");
   if (Pos != std::string::npos)
     Goal.replace(Pos, 3, "list");
   AnalyzerOptions Opts;
-  Opts.Shared = Cache;
-  Opts.CollectDelta = true;
-  Opts.DeltaMinHits = 1;
-  AnalysisResult R = analyzeProgram(B->Source, Goal, Opts);
-  if (!R.Ok)
-    return nullptr;
-  DeltaOut = R.Delta;
-  return Cache;
+  Opts.Shared = BaseOut;
+  return SharedCache::build({{B->Key + "#list", B->Source, Goal}}, Opts,
+                            &Err);
 }
 #endif
 
-/// The seal must survive promotion: a *promoted* tier is a brand-new
-/// freeze (old entries copied into a fresh arena, absorbed entries
-/// appended past them), and both halves must be as read-only as the
-/// original build.
-TEST(FrozenTierAuditDeathTest, PromotedTierIsSealedLikeAFreshFreeze) {
+/// The seal must survive stacking: a *stacked* tier is a brand-new
+/// freeze (the tier below's entries copied into a fresh arena, the
+/// warmup's new entries appended past them), and both halves must be as
+/// read-only as the original build.
+TEST(FrozenTierAuditDeathTest, StackedTierIsSealedLikeAFreshFreeze) {
 #ifndef GAIA_AUDIT
   GTEST_SKIP() << "audit seal requires -DGAIA_AUDIT=ON";
 #else
-  std::shared_ptr<const CacheDelta> Delta;
-  std::shared_ptr<const SharedCache> Cache = buildTierWithDelta(Delta);
-  ASSERT_NE(Cache, nullptr);
-  ASSERT_NE(Delta, nullptr) << "the variant run must harvest a delta";
-  std::shared_ptr<const SharedCache> Promoted =
-      Cache->promoteAndRefreeze({Delta});
-  ASSERT_NE(Promoted, nullptr);
-  const FrozenInternTier &IT = *Promoted->ops()->Intern;
+  std::shared_ptr<const SharedCache> Base;
+  std::shared_ptr<const SharedCache> Stacked = buildStackedTier(Base);
+  ASSERT_NE(Stacked, nullptr);
+  const FrozenInternTier &IT = *Stacked->ops()->Intern;
   ASSERT_TRUE(IT.Arena && IT.Arena->sealed());
-  ASSERT_GT(IT.size(), 0u);
-  // Both a carried-over entry (id 0) and the newest absorbed entry live
-  // in the promoted tier's sealed arena.
+  ASSERT_GT(IT.size(), Base->ops()->Intern->size())
+      << "the variant warmup must append past the tier below";
+  // Both a carried-over entry (id 0) and the newest stacked entry live
+  // in the stacked tier's sealed arena.
   EXPECT_DEATH(pokeConst(IT.Canon[0]), "");
   EXPECT_DEATH(pokeConst(IT.Canon[IT.size() - 1]), "");
 #endif

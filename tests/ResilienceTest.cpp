@@ -85,7 +85,6 @@ TEST(Cancellation, PreCancelledTokenUnwindsToStructuredResult) {
   Token->cancel();
   AnalyzerOptions Opts;
   Opts.Cancel = Token;
-  Opts.CollectDelta = true;
   const BenchmarkProgram *B = findBenchmark("QU");
   ASSERT_NE(B, nullptr);
   AnalysisResult R = analyzeProgram(B->Source, B->GoalSpec, Opts);
@@ -94,7 +93,6 @@ TEST(Cancellation, PreCancelledTokenUnwindsToStructuredResult) {
   EXPECT_FALSE(R.Converged);
   EXPECT_TRUE(R.QueryOutput.empty());
   EXPECT_TRUE(R.Summaries.empty());
-  EXPECT_EQ(R.Delta, nullptr) << "a cancelled job must harvest nothing";
 }
 
 TEST(Cancellation, DeadlineExpiresMidFixpointOnAHeavyJob) {
@@ -102,13 +100,11 @@ TEST(Cancellation, DeadlineExpiresMidFixpointOnAHeavyJob) {
   ASSERT_NE(PR, nullptr);
   AnalyzerOptions Opts = heavyOpts();
   Opts.DeadlineMs = 1;
-  Opts.CollectDelta = true;
   AnalysisResult R = analyzeProgram(PR->Source, PR->GoalSpec, Opts);
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Fail, FailKind::Deadline);
   EXPECT_NE(R.Error.find("deadline"), std::string::npos) << R.Error;
   EXPECT_FALSE(R.Converged);
-  EXPECT_EQ(R.Delta, nullptr);
 }
 
 TEST(Cancellation, UnarmedOptionsChangeNothing) {
@@ -124,60 +120,37 @@ TEST(Cancellation, UnarmedOptionsChangeNothing) {
   EXPECT_EQ(fingerprint(Plain), fingerprint(Armed));
 }
 
-/// Promotes the deltas a batch harvested into the next tier; returns
-/// \p Tier itself when no job harvested one.
-std::shared_ptr<const SharedCache>
-promoteBatch(const std::shared_ptr<const SharedCache> &Tier,
-             const std::vector<JobOutcome> &Out) {
-  std::vector<std::shared_ptr<const CacheDelta>> Deltas;
-  for (const JobOutcome &O : Out)
-    if (O.Result.Delta)
-      Deltas.push_back(O.Result.Delta);
-  return Deltas.empty() ? Tier : Tier->promoteAndRefreeze(Deltas);
-}
-
-/// The satellite pin: a wave whose jobs are all cancelled mid-run,
-/// followed by a promotion step, must leave the shared tier, the delta
-/// harvest, and the promotion history exactly as if the wave had never
-/// been submitted.
-TEST(Cancellation, CancelledWaveLeavesNoTraceInThePromotedTier) {
+/// The no-trace pin: a wave whose jobs are all cancelled mid-run must
+/// leave the shared tier exactly as if the wave had never been
+/// submitted — the next clean wave over it matches a clean wave from
+/// before, and the tier's contents did not change.
+TEST(Cancellation, CancelledWaveLeavesNoTraceInTheTier) {
   std::vector<AnalysisJob> Jobs = section9Jobs();
   std::string Err;
-  std::shared_ptr<const SharedCache> Cache =
+  std::shared_ptr<const SharedCache> Tier =
       SharedCache::build(Jobs, AnalyzerOptions{}, &Err);
-  ASSERT_NE(Cache, nullptr) << Err;
+  ASSERT_NE(Tier, nullptr) << Err;
+  const uint64_t Graphs = Tier->ops()->Intern->size();
+  const uint64_t OpResults = Tier->ops()->resultCount();
 
   PoolOptions PO;
   PO.Workers = 4;
-  PO.Shared = Cache;
-  PO.CollectDeltas = true;
+  PO.Shared = Tier;
 
-  // Run A: two clean waves, each followed by a promotion.
   std::vector<std::string> CleanFps;
-  std::shared_ptr<const SharedCache> CleanTier;
   {
     AnalysisPool Pool(PO);
-    std::shared_ptr<const SharedCache> Tier =
-        promoteBatch(Cache, Pool.run(Jobs));
-    Pool.setShared(Tier);
-    std::vector<JobOutcome> Out2 = Pool.run(Jobs);
-    for (const JobOutcome &O : Out2)
+    for (const JobOutcome &O : Pool.run(Jobs))
       CleanFps.push_back(fingerprint(O.Result));
-    CleanTier = promoteBatch(Tier, Out2);
   }
 
-  // Run B: identical, except a fully-cancelled wave (same jobs, token
-  // tripped before dispatch) runs — and is promoted — between the two.
+  // A fully-cancelled wave (same jobs, token tripped before dispatch)
+  // over the same tier.
   {
-    AnalysisPool Pool(PO);
-    std::shared_ptr<const SharedCache> Tier =
-        promoteBatch(Cache, Pool.run(Jobs));
-
     auto Token = std::make_shared<CancelToken>();
     Token->cancel();
     PoolOptions CancelledPO = PO;
     CancelledPO.Opts.Cancel = Token;
-    CancelledPO.Shared = Tier;
     AnalysisPool CancelledPool(CancelledPO);
     BatchStats CancelledStats;
     std::vector<JobOutcome> Cancelled =
@@ -186,24 +159,20 @@ TEST(Cancellation, CancelledWaveLeavesNoTraceInThePromotedTier) {
     for (const JobOutcome &O : Cancelled) {
       EXPECT_FALSE(O.Result.Ok);
       EXPECT_EQ(O.Result.Fail, FailKind::Cancelled);
-      EXPECT_EQ(O.Result.Delta, nullptr)
-          << "cancelled jobs must not harvest deltas";
     }
     EXPECT_EQ(CancelledStats.Failed, Jobs.size());
-    EXPECT_EQ(promoteBatch(Tier, Cancelled), Tier)
-        << "a cancelled wave must promote nothing";
-
-    Pool.setShared(Tier);
-    std::vector<JobOutcome> Out2 = Pool.run(Jobs);
-    for (size_t I = 0; I != Out2.size(); ++I)
-      EXPECT_EQ(CleanFps[I], fingerprint(Out2[I].Result))
-          << Jobs[I].Key
-          << ": a cancelled wave left a trace in the shared tier";
-    // The final tier holds exactly what the clean run's does.
-    std::shared_ptr<const SharedCache> Final = promoteBatch(Tier, Out2);
-    EXPECT_EQ(Final->stats().Graphs, CleanTier->stats().Graphs);
-    EXPECT_EQ(Final->stats().OpResults, CleanTier->stats().OpResults);
   }
+
+  AnalysisPool Pool(PO);
+  std::vector<JobOutcome> Out = Pool.run(Jobs);
+  ASSERT_EQ(Out.size(), Jobs.size());
+  for (size_t I = 0; I != Out.size(); ++I)
+    EXPECT_EQ(CleanFps[I], fingerprint(Out[I].Result))
+        << Jobs[I].Key << ": a cancelled wave left a trace in the shared tier";
+  EXPECT_EQ(Tier->ops()->Intern->size(), Graphs);
+  EXPECT_EQ(Tier->ops()->resultCount(), OpResults);
+  EXPECT_EQ(Tier->stats().Graphs, Graphs);
+  EXPECT_EQ(Tier->stats().OpResults, OpResults);
 }
 
 TEST(ResilienceLadder, WidenToTopFloorIsSoundAndDegraded) {
@@ -288,8 +257,6 @@ TEST(ResilienceLadder, TightBudgetRungMarksResultsDegraded) {
         EXPECT_EQ(O.MaxFixpointRounds,
                   Mgr.options().TightMaxFixpointRounds);
         EXPECT_EQ(O.MaxInputPatterns, Mgr.options().TightMaxInputPatterns);
-        EXPECT_FALSE(O.CollectDelta)
-            << "a coarse run's entries must not promote into the tier";
         return analyzeProgram(Job.Source, Job.GoalSpec, O);
       },
       Rung, Attempts);

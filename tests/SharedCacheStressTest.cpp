@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <thread>
 
@@ -325,13 +326,15 @@ TEST(SharedCacheStressTest, ConcurrentAnalysesOverOneTierMatchColdRuns) {
     EXPECT_EQ(Got[I], Oracle[I % Oracle.size()]) << "job " << I;
 }
 
-/// Tier promotion under concurrency: a full wave of concurrent analyses
-/// runs over the built tier, its harvested deltas are promoted, and a
-/// second wave runs over the promoted tier. Every wave must match the
-/// cold oracle bit-for-bit. Under TSan, lookups from eight threads must
-/// race on nothing in either tier: a promoted tier is as read-only as a
-/// built one.
-TEST(SharedCacheStressTest, ConcurrentWavesSurvivePromotion) {
+/// Tier stacking under concurrency: eight threads run a full wave of
+/// analyses over tier N while a ninth stack-builds tier N+1 from the
+/// variant jobs over N, so the build reads N's frozen maps and pf tier
+/// while the wave reads them too. A second wave then runs over N+1.
+/// Every wave must match the cold oracle bit-for-bit, and the wave over
+/// N+1 must resolve more operations from its tier. Under TSan, nothing
+/// may race: a build over a tier only reads it, and a stacked tier is as
+/// read-only as a fresh one.
+TEST(SharedCacheStressTest, ConcurrentWavesSurviveStacking) {
   std::vector<AnalysisJob> Warmup;
   for (const char *Key : {"QU", "DS", "PL", "BR"}) {
     const BenchmarkProgram *B = findBenchmark(Key);
@@ -344,7 +347,7 @@ TEST(SharedCacheStressTest, ConcurrentWavesSurvivePromotion) {
   ASSERT_NE(Cache, nullptr) << Err;
 
   // The wave workload: published goals (tier hits) plus "list"/"int"
-  // variants (tier misses that fill worker deltas for promotion).
+  // variants (tier misses, which the stacked tier then holds).
   std::vector<AnalysisJob> Jobs = Warmup;
   for (const AnalysisJob &W : Warmup)
     for (const char *Spec : {"list", "int"}) {
@@ -355,6 +358,8 @@ TEST(SharedCacheStressTest, ConcurrentWavesSurvivePromotion) {
       Goal.replace(Pos, 3, Spec);
       Jobs.push_back({W.Key + "#" + Spec, W.Source, Goal});
     }
+  const std::vector<AnalysisJob> Variants(Jobs.begin() + Warmup.size(),
+                                          Jobs.end());
 
   std::vector<std::string> Oracle;
   for (const AnalysisJob &J : Jobs) {
@@ -363,43 +368,54 @@ TEST(SharedCacheStressTest, ConcurrentWavesSurvivePromotion) {
     Oracle.push_back(analysisFingerprint(R));
   }
 
-  // One concurrent wave over \p Tier; returns the harvested deltas
-  // (all null unless \p Collect).
+  // One concurrent wave over \p Tier; returns its summed shared hits.
   auto Wave = [&](const std::shared_ptr<const SharedCache> &Tier,
-                  bool Collect, const char *Label) {
-    std::vector<std::shared_ptr<const CacheDelta>> Deltas(Jobs.size());
+                  const char *Label) {
     std::vector<std::string> Got(Jobs.size());
+    std::vector<uint64_t> SharedHits(Jobs.size(), 0);
     std::vector<std::thread> Threads;
     for (unsigned T = 0; T != NumThreads; ++T)
       Threads.emplace_back([&, T] {
         for (size_t I = T; I < Jobs.size(); I += NumThreads) {
           AnalyzerOptions Opts;
           Opts.Shared = Tier;
-          Opts.CollectDelta = Collect;
-          Opts.DeltaMinHits = 1;
           AnalysisResult R =
               analyzeProgram(Jobs[I].Source, Jobs[I].GoalSpec, Opts);
           Got[I] = analysisFingerprint(R);
-          Deltas[I] = R.Delta;
+          SharedHits[I] = R.Stats.OpCacheSharedHits;
         }
       });
     for (std::thread &T : Threads)
       T.join();
-    for (size_t I = 0; I != Jobs.size(); ++I)
+    uint64_t Total = 0;
+    for (size_t I = 0; I != Jobs.size(); ++I) {
       EXPECT_EQ(Got[I], Oracle[I]) << Jobs[I].Key << " (" << Label << ")";
-    return Deltas;
+      Total += SharedHits[I];
+    }
+    return Total;
   };
 
-  std::vector<std::shared_ptr<const CacheDelta>> Deltas =
-      Wave(Cache, /*Collect=*/true, "built tier");
+  std::shared_ptr<const SharedCache> Stacked;
+  std::string StackErr;
+  std::atomic<bool> Built{false};
+  std::thread StackThread([&] {
+    AnalyzerOptions Opts;
+    Opts.Shared = Cache;
+    Stacked = SharedCache::build(Variants, Opts, &StackErr);
+    Built = true;
+  });
+  // Waves keep running over N until the build is done, so the build's
+  // freeze (which copies N's maps) overlaps their reads too.
+  uint64_t HitsOverN = Wave(Cache, "tier N");
+  while (!Built)
+    Wave(Cache, "tier N");
+  StackThread.join();
 
-  std::shared_ptr<const SharedCache> Promoted =
-      Cache->promoteAndRefreeze(Deltas);
-  ASSERT_NE(Promoted, nullptr);
-  EXPECT_GT(Promoted->stats().AbsorbedEntries, 0u)
-      << "the variant goals must have filled promotable deltas";
-  EXPECT_GE(Promoted->stats().Graphs, Cache->stats().Graphs);
-  Wave(Promoted, /*Collect=*/false, "promoted tier");
+  ASSERT_NE(Stacked, nullptr) << StackErr;
+  EXPECT_GT(Stacked->stats().Graphs, Cache->stats().Graphs)
+      << "the variant goals must add languages to the stacked tier";
+  uint64_t HitsOverNext = Wave(Stacked, "tier N+1");
+  EXPECT_GT(HitsOverNext, HitsOverN);
 }
 
 } // namespace

@@ -1,13 +1,13 @@
-//===- tests/TierLifecycleTest.cpp - Tier promotion contract tests --------==//
+//===- tests/TierLifecycleTest.cpp - Tier stacking contract tests ---------==//
 ///
 /// \file
-/// The cache-tier life of a long-running batch service: build, stack and
-/// promote (runtime/SharedCache.h). The load-bearing property
-/// throughout: every tier configuration — fresh, stacked, promoted —
-/// serves bit-identical analysis results, because cached entries are
-/// exact pure functions of operand languages. The differential test
-/// below runs every Section 9 program against all three configurations
-/// and is gated in ctest.
+/// The cache-tier life of a long-running batch service: build and stack
+/// (runtime/SharedCache.h). The load-bearing property throughout: every
+/// tier configuration — none, fresh, stacked — serves bit-identical
+/// analysis results, because cached entries are exact pure functions of
+/// operand languages. The differential test below runs every Section 9
+/// program against all three configurations and is gated in ctest; the
+/// contract tests pin what a stacked build keeps of the tier below it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +38,7 @@ std::vector<AnalysisJob> section9Jobs() {
 }
 
 /// A query variant the published-goal warmup never sees: its entries
-/// reach the tier only through the promotion path.
+/// reach a tier only when a build stacks it.
 AnalysisJob variantJob(const char *Key, const char *Spec) {
   const BenchmarkProgram *B = findBenchmark(Key);
   std::string Goal = B->GoalSpec;
@@ -48,9 +48,8 @@ AnalysisJob variantJob(const char *Key, const char *Spec) {
   return {std::string(Key) + "#" + Spec, B->Source, Goal};
 }
 
-/// A program with functors no Section 9 program uses: its entries reach
-/// the tier only by promotion, together with symbols the tier's table
-/// has never seen.
+/// A program with functors no Section 9 program uses: stacking it
+/// brings symbols the tier's table has never seen.
 AnalysisJob churnJob(unsigned N) {
   std::string S = std::to_string(N);
   return {"churn#" + S,
@@ -62,31 +61,16 @@ AnalysisJob churnJob(unsigned N) {
 }
 
 AnalysisResult runOver(const AnalysisJob &J,
-                       std::shared_ptr<const SharedCache> Tier,
-                       bool CollectDelta = false) {
+                       std::shared_ptr<const SharedCache> Tier) {
   AnalyzerOptions Opts;
   Opts.Shared = std::move(Tier);
-  Opts.CollectDelta = CollectDelta;
-  Opts.DeltaMinHits = 0; // harvest the whole delta
   return analyzeProgram(J.Source, J.GoalSpec, Opts);
-}
-
-/// Promotes the deltas a batch harvested into the next tier; returns
-/// \p Tier itself when no job harvested one.
-std::shared_ptr<const SharedCache>
-promoteBatch(const std::shared_ptr<const SharedCache> &Tier,
-             const std::vector<JobOutcome> &Out) {
-  std::vector<std::shared_ptr<const CacheDelta>> Deltas;
-  for (const JobOutcome &O : Out)
-    if (O.Result.Delta)
-      Deltas.push_back(O.Result.Delta);
-  return Deltas.empty() ? Tier : Tier->promoteAndRefreeze(Deltas);
 }
 
 std::shared_ptr<const SharedCache> buildTier(
     const std::vector<AnalysisJob> &Warmup,
-    std::shared_ptr<const SharedCache> Prev = nullptr) {
-  AnalyzerOptions Opts;
+    std::shared_ptr<const SharedCache> Prev = nullptr,
+    AnalyzerOptions Opts = {}) {
   Opts.Shared = std::move(Prev);
   std::string Err;
   std::shared_ptr<const SharedCache> T =
@@ -97,10 +81,11 @@ std::shared_ptr<const SharedCache> buildTier(
 
 /// The acceptance differential: each Section 9 program, analyzed over
 /// (a) no tier, (b) the warmed tier, (c) a tier stacked on a previous
-/// tier, (d) a promotion refreeze — four bit-identical fingerprints.
-TEST(TierLifecycleTest, FreshStackedPromotedAreBitIdentical) {
+/// tier — three bit-identical fingerprints.
+TEST(TierLifecycleTest, FreshAndStackedAreBitIdentical) {
   std::vector<AnalysisJob> Jobs = section9Jobs();
-  // (b) warm on the first half, (c) stack the second half on top.
+  // (b) warm on every job, (c) warm on the first half and stack the
+  // second half on top.
   std::vector<AnalysisJob> FirstHalf(Jobs.begin(),
                                      Jobs.begin() + Jobs.size() / 2);
   std::vector<AnalysisJob> SecondHalf(Jobs.begin() + Jobs.size() / 2,
@@ -109,57 +94,107 @@ TEST(TierLifecycleTest, FreshStackedPromotedAreBitIdentical) {
   std::shared_ptr<const SharedCache> Stacked =
       buildTier(SecondHalf, buildTier(FirstHalf));
 
-  // (d) promote a variant job's harvested delta onto the warmed tier.
-  AnalysisJob Variant = variantJob("QU", "list");
-  AnalysisResult VarRun = runOver(Variant, Warmed, /*CollectDelta=*/true);
-  ASSERT_TRUE(VarRun.Ok);
-  ASSERT_NE(VarRun.Delta, nullptr)
-      << "an unwarmed variant must leave a non-empty delta";
-  std::shared_ptr<const SharedCache> Promoted =
-      Warmed->promoteAndRefreeze({VarRun.Delta});
-  EXPECT_GT(Promoted->stats().AbsorbedEntries, 0u);
-  EXPECT_GE(Promoted->stats().Graphs, Warmed->stats().Graphs);
-
   for (const AnalysisJob &J : Jobs) {
     AnalysisResult Cold = analyzeProgram(J.Source, J.GoalSpec);
     ASSERT_TRUE(Cold.Ok) << J.Key;
     const std::string Want = fingerprint(Cold);
     EXPECT_EQ(Want, fingerprint(runOver(J, Warmed))) << J.Key << " warmed";
     EXPECT_EQ(Want, fingerprint(runOver(J, Stacked))) << J.Key << " stacked";
-    EXPECT_EQ(Want, fingerprint(runOver(J, Promoted))) << J.Key << " promoted";
   }
 }
 
-TEST(TierLifecycleTest, PromotionMakesAVariantsEntriesShared) {
+TEST(TierLifecycleTest, StackingMakesAVariantsEntriesShared) {
   std::shared_ptr<const SharedCache> Tier = buildTier(section9Jobs());
   AnalysisJob Variant = variantJob("PG", "list");
 
-  AnalysisResult Before = runOver(Variant, Tier, /*CollectDelta=*/true);
+  AnalysisResult Before = runOver(Variant, Tier);
   ASSERT_TRUE(Before.Ok);
-  ASSERT_NE(Before.Delta, nullptr);
-  EXPECT_GT(Before.Delta->entryCount(), 0u);
   EXPECT_GT(Before.Stats.OpCacheMisses, 0u)
       << "the unwarmed variant must compute something fresh";
 
-  std::shared_ptr<const SharedCache> Promoted =
-      Tier->promoteAndRefreeze({Before.Delta});
-  AnalysisResult After = runOver(Variant, Promoted);
+  std::shared_ptr<const SharedCache> Stacked = buildTier({Variant}, Tier);
+  ASSERT_NE(Stacked, nullptr);
+  AnalysisResult After = runOver(Variant, Stacked);
   ASSERT_TRUE(After.Ok);
   EXPECT_EQ(fingerprint(Before), fingerprint(After));
   EXPECT_GT(After.Stats.OpCacheSharedHits, Before.Stats.OpCacheSharedHits)
-      << "promoted entries must resolve from the tier";
-  EXPECT_LT(After.Stats.OpCacheMisses, Before.Stats.OpCacheMisses);
-
-  // Null and repeated deltas are tolerated; absorbing the same delta
-  // twice adds nothing the second time.
-  std::shared_ptr<const SharedCache> Again =
-      Promoted->promoteAndRefreeze({nullptr, Before.Delta});
-  EXPECT_EQ(Again->stats().Graphs, Promoted->stats().Graphs);
+      << "stacked entries must resolve from the tier";
+  EXPECT_EQ(After.Stats.OpCacheMisses, 0u)
+      << "every operation the variant runs was computed by the stacked "
+         "warmup";
 }
 
-/// Four batches on one pool, each promoting its harvested deltas into
-/// the tier the next batch reads: every job of every batch stays
-/// bit-identical to its cold run while the tier grows underneath.
+/// What a build stacked over tier N keeps of N: every id below N's size
+/// names a structurally equal canonical graph, every functor of N's
+/// symbol snapshot keeps its name and arity, and N itself is unchanged.
+TEST(TierLifecycleTest, StackedTierKeepsEveryIdAndSymbolOfTheTierBelow) {
+  std::shared_ptr<const SharedCache> N = buildTier(section9Jobs());
+  const SharedCache::BuildStats Before = N->stats();
+
+  // New goals and new functors, so the stacked tier has to append.
+  std::shared_ptr<const SharedCache> Next =
+      buildTier({variantJob("QU", "list"), variantJob("PG", "list"),
+                 churnJob(7)},
+                N);
+  ASSERT_NE(Next, nullptr);
+
+  const FrozenInternTier &Below = *N->ops()->Intern;
+  const FrozenInternTier &Above = *Next->ops()->Intern;
+  ASSERT_GT(Above.size(), Below.size());
+  for (CanonId Id = 0; Id != Below.size(); ++Id)
+    ASSERT_TRUE(structuralEqual(Above.Canon[Id], Below.Canon[Id]))
+        << "id " << Id << " changed its canonical graph";
+
+  const SymbolTable &SymsBelow = N->symbols();
+  const SymbolTable &SymsAbove = Next->symbols();
+  ASSERT_GT(SymsAbove.numFunctors(), SymsBelow.numFunctors());
+  for (FunctorId F = 0; F != SymsBelow.numFunctors(); ++F) {
+    EXPECT_EQ(SymsAbove.functorName(F), SymsBelow.functorName(F)) << F;
+    EXPECT_EQ(SymsAbove.functorArity(F), SymsBelow.functorArity(F)) << F;
+  }
+
+  // N was only read: its recorded figures and its live contents agree
+  // with what they were before the build.
+  const SharedCache::BuildStats &After = N->stats();
+  EXPECT_EQ(After.WarmupJobs, Before.WarmupJobs);
+  EXPECT_EQ(After.Graphs, Before.Graphs);
+  EXPECT_EQ(After.OpResults, Before.OpResults);
+  EXPECT_EQ(After.PfSets, Before.PfSets);
+  EXPECT_EQ(After.Symbols, Before.Symbols);
+  EXPECT_EQ(After.TierBytes, Before.TierBytes);
+  EXPECT_EQ(Below.size(), Before.Graphs);
+  EXPECT_EQ(N->ops()->resultCount(), Before.OpResults);
+  EXPECT_EQ(N->ops()->Pf->size(), Before.PfSets);
+  EXPECT_EQ(SymsBelow.numSymbols(), Before.Symbols);
+}
+
+/// Stacking over a tier of another configuration is no stacking at all:
+/// the build ignores the tier and returns a fresh one.
+TEST(TierLifecycleTest, StackingOverAnIncompatibleTierBuildsAFreshTier) {
+  std::vector<AnalysisJob> Jobs = section9Jobs();
+  std::shared_ptr<const SharedCache> Exact = buildTier(Jobs);
+  AnalyzerOptions Capped;
+  Capped.OrCap = 5;
+  ASSERT_FALSE(Exact->compatibleWith(Capped));
+
+  std::vector<AnalysisJob> Warmup(Jobs.begin(), Jobs.begin() + 3);
+  std::shared_ptr<const SharedCache> Fresh =
+      buildTier(Warmup, nullptr, Capped);
+  std::shared_ptr<const SharedCache> OverExact =
+      buildTier(Warmup, Exact, Capped);
+  ASSERT_NE(Fresh, nullptr);
+  ASSERT_NE(OverExact, nullptr);
+  EXPECT_EQ(OverExact->stats().Graphs, Fresh->stats().Graphs);
+  EXPECT_EQ(OverExact->stats().OpResults, Fresh->stats().OpResults);
+  EXPECT_EQ(OverExact->symbols().numSymbols(),
+            Fresh->symbols().numSymbols());
+  EXPECT_TRUE(OverExact->compatibleWith(Capped));
+}
+
+/// Four batches, each served by a fresh pool over the current tier and
+/// then stacked (churn job included) into the tier the next batch
+/// reads: every job of every batch stays bit-identical to its cold run
+/// while the tier grows underneath.
 TEST(TierLifecycleTest, LifecycleRotatesTiersAcrossBatchesUnchanged) {
   std::vector<AnalysisJob> Jobs = section9Jobs();
   std::map<std::string, std::string> Oracle;
@@ -167,22 +202,16 @@ TEST(TierLifecycleTest, LifecycleRotatesTiersAcrossBatchesUnchanged) {
     Oracle[J.Key] = fingerprint(analyzeProgram(J.Source, J.GoalSpec));
 
   std::shared_ptr<const SharedCache> Tier = buildTier(Jobs);
-  PoolOptions PO;
-  PO.Workers = 4;
-  PO.Shared = Tier;
-  PO.CollectDeltas = true;
-  PO.DeltaMinHits = 0; // promote everything a job computes
-  AnalysisPool Pool(PO);
-
-  uint32_t Promotions = 0;
-  uint64_t Absorbed = 0;
   for (unsigned Gen = 0; Gen != 4; ++Gen) {
     std::vector<AnalysisJob> Batch = Jobs;
     Batch.push_back(churnJob(100 + Gen));
     std::string ChurnWant = fingerprint(
         analyzeProgram(Batch.back().Source, Batch.back().GoalSpec));
 
-    Pool.setShared(Tier);
+    PoolOptions PO;
+    PO.Workers = 4;
+    PO.Shared = Tier;
+    AnalysisPool Pool(PO);
     std::vector<JobOutcome> Out = Pool.run(Batch);
     ASSERT_EQ(Out.size(), Batch.size());
     for (size_t I = 0; I != Jobs.size(); ++I)
@@ -191,17 +220,13 @@ TEST(TierLifecycleTest, LifecycleRotatesTiersAcrossBatchesUnchanged) {
     EXPECT_EQ(ChurnWant, fingerprint(Out.back().Result))
         << "churn at generation " << Gen;
 
-    std::shared_ptr<const SharedCache> Next = promoteBatch(Tier, Out);
-    if (Next != Tier) {
-      EXPECT_GE(Next->stats().Graphs, Tier->stats().Graphs)
-          << "stacking keeps every id of the tier underneath";
-      ++Promotions;
-      Absorbed += Next->stats().AbsorbedEntries;
-    }
+    std::shared_ptr<const SharedCache> Next = buildTier(Batch, Tier);
+    ASSERT_NE(Next, nullptr);
+    EXPECT_GT(Next->stats().Graphs, Tier->stats().Graphs)
+        << "each generation's churn is new to the tier";
+    EXPECT_GT(Next->symbols().numFunctors(), Tier->symbols().numFunctors());
     Tier = std::move(Next);
   }
-  EXPECT_GT(Promotions, 0u);
-  EXPECT_GT(Absorbed, 0u) << "each generation's churn is new to the tier";
 }
 
 } // namespace
