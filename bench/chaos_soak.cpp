@@ -3,12 +3,12 @@
 /// \file
 /// The serving runtime's chaos soak: a large batch of mixed jobs — the
 /// ten Section 9 programs x query variants, with a malformed program
-/// salted in every ~97th slot — run through AnalysisPool with the
-/// resilience ladder attached. In a -DGAIA_FAULT_INJECT=ON build with
-/// GAIA_FAULT_P set (CI uses 1e-3), the deterministic fault streams
-/// throw synthetic exceptions at the op-cache/normalize/intern/alloc
-/// seams; in a production build this degenerates to a clean soak of the
-/// same invariants.
+/// salted in every ~97th slot — run as one batch through an
+/// AnalysisService (serveBatch) with the resilience ladder attached. In
+/// a -DGAIA_FAULT_INJECT=ON build with GAIA_FAULT_P set (CI uses 1e-3),
+/// the deterministic fault streams throw synthetic exceptions at the
+/// op-cache/normalize/intern/alloc seams; in a production build this
+/// degenerates to a clean soak of the same invariants.
 ///
 /// The soak passes only when
 ///   * the process survives (workers contain every fault),
@@ -24,16 +24,19 @@
 ///
 /// Prints its figures to stdout and any violation to stderr; the exit
 /// status is the gate. Job count via CHAOS_JOBS (default 10000),
-/// workers via CHAOS_WORKERS (default 8).
+/// workers via CHAOS_WORKERS (default 8). The service salts each job's
+/// fault streams with its admission sequence number (Seq x 251), and a
+/// fresh service admits the batch in job order, so the fault plan is a
+/// function of the batch and the seed alone.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "runtime/AnalysisPool.h"
+#include "BenchUtil.h"
 
-#include "core/Report.h"
-#include "programs/Benchmarks.h"
+#include "runtime/AnalysisService.h"
 #include "support/FaultInject.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -44,24 +47,6 @@
 using namespace gaia;
 
 namespace {
-
-/// The distinct well-formed (program, goal) queries of the mix: each
-/// Section 9 program's published goal plus first-argument variants.
-std::vector<AnalysisJob> distinctQueries() {
-  std::vector<AnalysisJob> Queries;
-  for (const BenchmarkProgram &B : table123Suite()) {
-    Queries.push_back({B.Key, B.Source, B.GoalSpec});
-    for (const char *Spec : {"list", "int"}) {
-      std::string Goal = B.GoalSpec;
-      size_t Pos = Goal.find("any");
-      if (Pos == std::string::npos)
-        continue;
-      Goal.replace(Pos, 3, Spec);
-      Queries.push_back({B.Key + "#" + Spec, B.Source, Goal});
-    }
-  }
-  return Queries;
-}
 
 unsigned envUnsigned(const char *Name, unsigned Default) {
   if (const char *E = std::getenv(Name))
@@ -84,7 +69,7 @@ int main(int argc, char **argv) {
   const AnalysisJob Malformed{"malformed", "p(a).\nq(X) :- .\n", "p(any)"};
   const unsigned MalformedEvery = 97;
 
-  std::vector<AnalysisJob> Queries = distinctQueries();
+  std::vector<AnalysisJob> Queries = serviceQueryMix();
   std::vector<AnalysisJob> Batch;
   Batch.reserve(TotalJobs);
   unsigned MalformedJobs = 0;
@@ -130,16 +115,16 @@ int main(int argc, char **argv) {
   ResilienceOptions RO;
   RO.QuarantineThreshold = std::numeric_limits<uint32_t>::max();
   auto Manager = std::make_shared<ResilienceManager>(RO);
-  PoolOptions PO;
-  PO.Workers = Workers;
-  PO.Shared = Cache;
-  PO.Resilience = Manager;
-  AnalysisPool Pool(PO);
+  ServiceOptions SO;
+  SO.Workers = Workers;
+  SO.Shared = Cache;
+  SO.Resilience = Manager;
+  AnalysisService Svc(SO);
 
   std::printf("=== chaos soak ===\n");
   std::printf("jobs: %u (%u malformed), workers: %u, fault injection: %s"
               " (GAIA_FAULT_P=%s)\n",
-              TotalJobs, MalformedJobs, Pool.workers(),
+              TotalJobs, MalformedJobs, Svc.workers(),
 #ifdef GAIA_FAULT_INJECT
               "compiled in",
 #else
@@ -147,11 +132,16 @@ int main(int argc, char **argv) {
 #endif
               FaultP ? FaultP : "unset");
 
-  BatchStats St;
-  std::vector<JobOutcome> Out = Pool.run(Batch, &St);
+  auto Start = std::chrono::steady_clock::now();
+  std::vector<JobOutcome> Out = serveBatch(Svc, Batch);
+  double Wall = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - Start)
+                    .count();
 
   // Invariant sweep.
   unsigned Violations = 0;
+  unsigned Failed = 0, Degraded = 0, Recovered = 0;
+  std::string FirstError;
   uint64_t FaultFires = 0;
   std::map<std::string, uint64_t> FailKinds;
   std::map<std::string, uint64_t> Rungs;
@@ -165,8 +155,16 @@ int main(int argc, char **argv) {
     const JobOutcome &O = Out[I];
     const AnalysisResult &R = O.Result;
     FaultFires += O.FaultFires;
-    if (!R.Ok)
+    if (!R.Ok) {
       ++FailKinds[failKindName(R.Fail)];
+      ++Failed;
+      if (FirstError.empty())
+        FirstError = Batch[I].Key + ": " + R.Error;
+    } else if (R.Degraded) {
+      ++Degraded;
+    } else if (O.Rung == RecoveryRung::ColdRetry) {
+      ++Recovered;
+    }
     if (O.Rung != RecoveryRung::None)
       ++Rungs[recoveryRungName(O.Rung)];
 
@@ -197,12 +195,13 @@ int main(int argc, char **argv) {
   }
 
   ResilienceStats RS = Manager->stats();
-  std::printf("wall: %.3fs (%.1f jobs/s)\n", St.WallSeconds, St.JobsPerSecond);
+  std::printf("wall: %.3fs (%.1f jobs/s)\n", Wall,
+              Wall > 0 ? double(Out.size()) / Wall : 0.0);
   std::printf("failed: %u, degraded: %u, recovered: %u, fault fires: %llu\n",
-              St.Failed, St.Degraded, St.Recovered,
+              Failed, Degraded, Recovered,
               static_cast<unsigned long long>(FaultFires));
-  if (!St.FirstError.empty())
-    std::printf("first error: %s\n", St.FirstError.c_str());
+  if (!FirstError.empty())
+    std::printf("first error: %s\n", FirstError.c_str());
   std::printf("ladder: %llu first-attempt failures, %llu cold retries "
               "(%llu ok), %llu tight retries (%llu ok), %llu floor, "
               "%llu quarantined, %llu short-circuits\n",

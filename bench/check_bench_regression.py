@@ -18,27 +18,6 @@ total_solve_seconds*, the spread as solve_seconds_min/_max. It fails when
     top — the result is sound but not the analysis' normal output, and
     timing comparisons against it are meaningless).
 
-Throughput gate (--throughput) — compares BENCH_throughput.json against
-bench/BENCH_throughput.baseline.json and fails when
-
-  * identical_all is false (a concurrent run diverged from the
-    sequential oracle: a correctness bug, not a perf matter),
-  * failed_jobs is nonzero (the throughput workload contains only
-    well-formed jobs, so any per-job failure — deadline, contained
-    exception, parse error — is a bug; first_error is printed for
-    the diagnosis),
-  * jobs_per_sec_max regresses by more than the tolerance, or
-  * the 8-worker run scales below the floor for this machine's core
-    count: 3x over 1 worker with >= 8 hardware threads (the batch
-    runtime's contract), 1.5x with 4-7 (standard GitHub runners have 4
-    vCPUs — a serialization bug shows up as ~1.0x there, so the gate
-    must stay live on CI). Below 4 threads the floor is physically
-    unreachable and the check is skipped.
-
-  If the throughput baseline file does not exist yet the perf comparison
-  is skipped with a note (first run seeds it); the identity check always
-  runs.
-
 Per-program RSS gate (inside the table 3 gate) — runs only when BOTH the
 current snapshot and the baseline report peak_rss_per_program: true
 (the /proc/self/clear_refs watermark reset worked, so the figures are
@@ -48,14 +27,20 @@ with a logged notice — gating monotone numbers would fail on run order,
 not on memory use. Gated programs fail at RSS_TOLERANCE above baseline;
 programs below RSS_FLOOR_KB are noise and never gated.
 
-Service gate (--service) — checks BENCH_service.json (bench/service_soak,
-the resident-service overload ramp) and fails when
+Service gate (--service) — checks BENCH_service.json (bench/service_soak:
+the queue-free capacity curve, then the resident-service overload ramp)
+and fails when
 
+  * capacity_failed_jobs is nonzero (the capacity waves contain only
+    well-formed jobs, so any per-job failure — deadline, contained
+    exception, parse error — is a bug; first_error is printed for the
+    diagnosis),
   * any leg reports unstructured_failures or non_rejected_refusals
     (every job the service does not run must resolve its ticket with
     FailKind::Rejected — refusal is never an exception, never silent),
-  * identical_all is false (an admitted, undegraded job's result
-    diverged from the sequential oracle) or post_drain_tier_identical
+  * identical_all is false (a capacity-wave job on some worker count, or
+    an admitted, undegraded leg job, diverged from the sequential
+    oracle) or post_drain_tier_identical
     is false (the query mix stacked over the drained leg's tier changed
     results),
   * the heaviest non-chaos leg (4x measured capacity) does not shed: an
@@ -69,16 +54,31 @@ the resident-service overload ramp) and fails when
 
   Chaos legs (chaos: true) are gated structurally only: fault-lengthened
   run times make their latency and shed figures configuration, not
-  regression. The service gate is self-contained (no baseline file):
-  the load multiples are derived from the same run's measured capacity,
-  so the thresholds are machine-relative by construction.
+  regression. The leg thresholds are self-contained: the load multiples
+  are derived from the same run's measured capacity, so they are
+  machine-relative by construction.
+
+  Two capacity checks run only on plain snapshots (sanitized: false and
+  chaos_built: false — sanitizer and fault-probe builds time a different
+  program); on any other snapshot the gate prints why it skips them:
+
+  * the capacity curve's 8-worker median scales below the floor for
+    this machine's core count over the 1-worker median: 3x with >= 8
+    hardware threads, 1.5x with 4-7 (standard GitHub runners have 4
+    vCPUs — a serialization bug shows up as ~1.0x there, so the gate
+    must stay live on CI). Below 4 threads the floor is physically
+    unreachable and the check is skipped.
+  * the peak capacity (the highest median over the worker counts)
+    regresses by more than the tolerance against jobs_per_sec_max in
+    bench/BENCH_service.baseline.json. If the baseline file does not
+    exist the comparison is skipped with a note.
 
 Usage:
   check_bench_regression.py [<table3.json> [<table3-baseline.json>]]
-      [--throughput <throughput.json> [<throughput-baseline.json>]]
-      [--service <service.json>]
-The table3 positional may be omitted when at least one mode flag is
-given (the service-soak CI job gates only its own snapshot).
+      [--service <service.json> [<service-baseline.json>]]
+The table3 positional may be omitted when --service is given (the
+service-soak CI job gates only its own snapshot). --service takes the
+rest of the command line.
 Exit status: 0 ok, 1 regression/non-convergence/divergence, 2 bad invocation.
 """
 
@@ -93,7 +93,6 @@ TOLERANCE = 0.30
 # masquerading as a perf regression.
 TABLE3_KEYS = ("programs", "total_solve_seconds")
 TABLE3_PROGRAM_KEYS = ("key", "solve_seconds")
-THROUGHPUT_KEYS = ("identical_all", "jobs_per_sec_max", "failed_jobs")
 # Per-program gate: fail when one program regresses by more than this,
 # but only gate programs whose baseline solve time clears the floor
 # (timing noise dominates below it).
@@ -118,7 +117,9 @@ SERVICE_MAX_SHED_HALF = 0.10
 SERVICE_P99_HEADROOM = 0.25
 SERVICE_P99_SLACK_MS = 20.0
 SERVICE_KEYS = ("deadline_ms", "capacity", "legs", "identical_all",
-                "post_drain_tier_identical")
+                "post_drain_tier_identical", "capacity_failed_jobs",
+                "sanitized", "chaos_built")
+SERVICE_CAPACITY_KEYS = ("workers", "jobs_per_sec")
 SERVICE_LEG_KEYS = ("multiple", "chaos", "submitted", "shed_rate", "p99_ms",
                     "unstructured_failures", "non_rejected_refusals")
 
@@ -247,61 +248,73 @@ def check_table3(current_path, baseline_path):
     return failed
 
 
-def check_throughput(current_path, baseline_path):
-    current = load_snapshot(
-        current_path, THROUGHPUT_KEYS, "throughput snapshot"
-    )
+def check_capacity(current, path, baseline_path):
+    """Scaling floor and baseline comparison on the capacity curve."""
+    capacity = current["capacity"]
+    if not isinstance(capacity, list) or not capacity:
+        fail_config(
+            f"service snapshot '{path}': 'capacity' must be a non-empty list"
+        )
+    for i, point in enumerate(capacity):
+        missing = [k for k in SERVICE_CAPACITY_KEYS
+                   if not isinstance(point, dict) or k not in point]
+        if missing:
+            fail_config(
+                f"service snapshot '{path}': capacity[{i}] is missing "
+                f"{', '.join(missing)}"
+            )
+
+    skip = [why for flag, why in (("sanitized", "sanitized build"),
+                                  ("chaos_built", "chaos build"))
+            if current[flag]]
+    if skip:
+        print(
+            f"capacity scaling floor and jobs/s baseline not gated: "
+            f"{' and '.join(skip)} (only plain snapshots are timed "
+            f"against them)"
+        )
+        return False
+
+    by_workers = {p["workers"]: p["jobs_per_sec"] for p in capacity}
+    if 1 not in by_workers or 8 not in by_workers:
+        fail_config(
+            f"service snapshot '{path}': the capacity curve needs 1- and "
+            f"8-worker points for the scaling floor"
+        )
 
     failed = False
-
-    if not current.get("identical_all", False):
-        print("FAIL: concurrent batch results diverged from the sequential oracle")
-        failed = True
-
-    failed_jobs = current["failed_jobs"]
-    if failed_jobs:
-        first = current.get("first_error", "")
-        print(
-            f"FAIL: {failed_jobs} job(s) failed in the throughput batch"
-            + (f" — first error: {first}" if first else "")
-        )
-        failed = True
-    else:
-        print("failed_jobs: 0 -> ok")
-
     hw = current.get("hardware_concurrency", 0)
-    scaling = current.get("scaling_8w_over_1w", 0.0)
     floor = next((f for min_hw, f in SCALING_FLOORS if hw >= min_hw), None)
+    scaling = by_workers[8] / by_workers[1] if by_workers[1] > 0 else 0.0
     if floor is not None:
         verdict = "ok" if scaling >= floor else "REGRESSION"
         print(
-            f"throughput scaling: 8w/1w {scaling:.2f}x on {hw} hardware "
+            f"capacity scaling: 8w/1w {scaling:.2f}x on {hw} hardware "
             f"threads (floor {floor:.1f}x) -> {verdict}"
         )
         if scaling < floor:
             failed = True
     else:
         print(
-            f"throughput scaling: 8w/1w {scaling:.2f}x — not gated "
+            f"capacity scaling: 8w/1w {scaling:.2f}x — not gated "
             f"({hw} hardware threads < {SCALING_FLOORS[-1][0]})"
         )
 
     if not os.path.exists(baseline_path):
         print(
-            f"throughput baseline {baseline_path} not found; skipping the "
-            f"jobs/sec comparison (seed it from this run's snapshot)"
+            f"service baseline {baseline_path} not found; skipping the "
+            f"jobs/s comparison"
         )
         return failed
-
     baseline = load_snapshot(
-        baseline_path, ("jobs_per_sec_max",), "throughput baseline"
+        baseline_path, ("jobs_per_sec_max",), "service baseline"
     )
-    cur = current["jobs_per_sec_max"]
+    cur = max(by_workers.values())
     base = baseline["jobs_per_sec_max"]
     limit = base * (1.0 - TOLERANCE)
     verdict = "ok" if cur >= limit else "REGRESSION"
     print(
-        f"jobs_per_sec_max: current {cur:.1f} vs baseline {base:.1f} "
+        f"peak capacity: current {cur:.1f} jobs/s vs baseline {base:.1f} "
         f"(limit {limit:.1f} at -{TOLERANCE:.0%}) -> {verdict}"
     )
     if cur < limit:
@@ -309,10 +322,23 @@ def check_throughput(current_path, baseline_path):
     return failed
 
 
-def check_service(path):
+def check_service(path, baseline_path):
     current = load_snapshot(path, SERVICE_KEYS, "service snapshot")
 
     failed = False
+
+    failed_jobs = current["capacity_failed_jobs"]
+    if failed_jobs:
+        first = current.get("first_error", "")
+        print(
+            f"FAIL: {failed_jobs} job(s) failed in the capacity waves"
+            + (f" — first error: {first}" if first else "")
+        )
+        failed = True
+    else:
+        print("capacity_failed_jobs: 0 -> ok")
+
+    failed = check_capacity(current, path, baseline_path) or failed
 
     legs = current["legs"]
     if not isinstance(legs, list) or not legs:
@@ -329,8 +355,8 @@ def check_service(path):
 
     if not current.get("identical_all", False):
         print(
-            "FAIL: an admitted, undegraded job's result diverged from the "
-            "sequential oracle"
+            "FAIL: a capacity-wave job or an admitted, undegraded leg job "
+            "diverged from the sequential oracle"
         )
         failed = True
     if not current.get("post_drain_tier_identical", False):
@@ -399,29 +425,20 @@ def check_service(path):
 
 def main(argv):
     args = argv[1:]
-    tp_current = tp_baseline = None
-    sv_current = None
+    sv_current = sv_baseline = None
     if "--service" in args:
         i = args.index("--service")
-        if i + 1 >= len(args):
-            print(__doc__, file=sys.stderr)
-            return 2
-        sv_current = args[i + 1]
-        args = args[:i] + args[i + 2 :]
-    if "--throughput" in args:
-        i = args.index("--throughput")
         tail = args[i + 1 :]
-        if not tail:
+        if not tail or len(tail) > 2:
             print(__doc__, file=sys.stderr)
             return 2
-        tp_current = tail[0]
-        tp_baseline = (
-            tail[1] if len(tail) > 1 else "bench/BENCH_throughput.baseline.json"
+        sv_current = tail[0]
+        sv_baseline = (
+            tail[1] if len(tail) > 1 else "bench/BENCH_service.baseline.json"
         )
         args = args[:i]
 
-    any_mode = tp_current is not None or sv_current is not None
-    if len(args) > 2 or (not args and not any_mode):
+    if len(args) > 2 or (not args and sv_current is None):
         print(__doc__, file=sys.stderr)
         return 2
 
@@ -431,10 +448,8 @@ def main(argv):
             args[1] if len(args) == 2 else "bench/BENCH_table3.baseline.json"
         )
         failed = check_table3(args[0], table3_baseline)
-    if tp_current is not None:
-        failed = check_throughput(tp_current, tp_baseline) or failed
     if sv_current is not None:
-        failed = check_service(sv_current) or failed
+        failed = check_service(sv_current, sv_baseline) or failed
 
     return 1 if failed else 0
 

@@ -3,11 +3,19 @@
 /// \file
 /// Soaks the resident serving layer (runtime/AnalysisService.h) under a
 /// ramped open-loop load: legs at 0.5x / 1x / 2x / 4x of the *measured*
-/// queue-free capacity (bench/BenchUtil.h, measureQueueFreeCapacity —
-/// the same helper and query mix bench/throughput.cpp reports, so the
-/// multiples are derived from this machine, never hardcoded). Each leg
-/// paces trySubmit calls at the target rate for a fixed wall-clock
-/// window, drains, and accounts for every single ticket:
+/// queue-free capacity (bench/BenchUtil.h, measureQueueFreeCapacity), so
+/// the multiples are derived from this machine, never hardcoded.
+///
+/// The capacity curve itself is a batch benchmark: at 1/2/4/8 workers,
+/// the median of three timed serveBatch waves of the query mix (min and
+/// max recorded beside it). Every timed wave is checked job by job
+/// against the sequential oracle; a mismatch clears identical_all, and
+/// failed jobs are counted (capacity_failed_jobs, first_error). The
+/// gate reads its scaling floor and its jobs/s baseline comparison off
+/// this curve.
+///
+/// Each leg paces trySubmit calls at the target rate for a fixed
+/// wall-clock window, drains, and accounts for every single ticket:
 ///
 ///   - a job either ran to a structured result or was refused with
 ///     FailKind::Rejected — anything else (an unstructured failure, a
@@ -26,7 +34,9 @@
 /// structurally; watchdog escalations are recorded in the JSON.
 ///
 /// Writes BENCH_service.json (override with BENCH_SERVICE_JSON; empty
-/// skips) for bench/check_bench_regression.py --service. Env knobs:
+/// skips) for bench/check_bench_regression.py --service. The snapshot
+/// records whether the build was sanitized (ASan/TSan) or chaos-built,
+/// since timings of such builds are not comparable. Env knobs:
 ///   BENCH_SERVICE_WORKERS      service worker threads   (default 4)
 ///   BENCH_SERVICE_SECONDS      seconds per leg          (default 1.0)
 ///   BENCH_SERVICE_DEADLINE_MS  per-request deadline     (default 250)
@@ -37,7 +47,6 @@
 #include "BenchUtil.h"
 
 #include "core/Report.h"
-#include "runtime/AnalysisPool.h"
 #include "runtime/AnalysisService.h"
 #include "support/FaultInject.h"
 
@@ -255,7 +264,7 @@ int main() {
   std::vector<AnalysisJob> Queries = serviceQueryMix();
 
   // Warmed frozen tier over the published goals (the variant goals hit
-  // the tier partially, as in bench/throughput.cpp).
+  // the tier partially and fill worker deltas for the rest).
   std::vector<AnalysisJob> Warmup;
   for (const BenchmarkProgram &B : table123Suite())
     Warmup.push_back({B.Key, B.Source, B.GoalSpec});
@@ -291,12 +300,30 @@ int main() {
   if (std::find(WorkerCounts.begin(), WorkerCounts.end(), C.Workers) ==
       WorkerCounts.end())
     WorkerCounts.push_back(C.Workers);
+  uint64_t CapacityMismatches = 0, CapacityFailed = 0;
+  std::string FirstError;
+  auto Verify = [&](uint32_t Workers, const std::vector<JobOutcome> &Out) {
+    for (size_t I = 0; I != Out.size(); ++I) {
+      const AnalysisJob &J = CapacityBatch[I];
+      const AnalysisResult &R = Out[I].Result;
+      if (!R.Ok) {
+        ++CapacityFailed;
+        if (FirstError.empty())
+          FirstError = J.Key + ": " + R.Error;
+      }
+      if (analysisFingerprint(R) != Oracle.at(J.Key + "|" + J.GoalSpec)) {
+        std::fprintf(stderr, "CAPACITY MISMATCH: %s (%s) on %u workers\n",
+                     J.Key.c_str(), J.GoalSpec.c_str(), Workers);
+        ++CapacityMismatches;
+      }
+    }
+  };
   std::vector<CapacityPoint> Capacity =
-      measureQueueFreeCapacity(CapacityBatch, Cache, WorkerCounts);
+      measureQueueFreeCapacity(CapacityBatch, Cache, WorkerCounts, Verify);
   double CapacityJps = 0;
   for (const CapacityPoint &P : Capacity)
     if (P.Workers == C.Workers)
-      CapacityJps = P.St.JobsPerSecond;
+      CapacityJps = P.JobsPerSec;
   if (CapacityJps <= 0) {
     std::fprintf(stderr, "error: no capacity measurement at %u workers\n",
                  C.Workers);
@@ -306,10 +333,17 @@ int main() {
   std::printf("=== resident-service overload soak ===\n");
   std::printf("workers: %u, queue: %u, deadline: %ums, %.2fs/leg\n",
               C.Workers, C.QueueCapacity, C.DeadlineMs, C.SecondsPerLeg);
-  std::printf("queue-free capacity:");
+  std::printf("queue-free capacity (median [min-max] of %u waves):",
+              CapacityTimedWaves);
   for (const CapacityPoint &P : Capacity)
-    std::printf("  %uw=%.0f/s", P.Workers, P.St.JobsPerSecond);
-  std::printf("\nsoak base (at %u workers): %.0f jobs/s\n\n", C.Workers,
+    std::printf("  %uw=%.0f/s [%.0f-%.0f]", P.Workers, P.JobsPerSec,
+                P.MinJobsPerSec, P.MaxJobsPerSec);
+  std::printf("\ncapacity waves: %llu failed jobs, %llu oracle mismatches\n",
+              static_cast<unsigned long long>(CapacityFailed),
+              static_cast<unsigned long long>(CapacityMismatches));
+  if (!FirstError.empty())
+    std::printf("first error: %s\n", FirstError.c_str());
+  std::printf("soak base (at %u workers): %.0f jobs/s\n\n", C.Workers,
               CapacityJps);
   std::printf("  mult  chaos  target/s  submitted     ran    shed  shed%%  "
               "p50(ms)  p99(ms)  wd(c/p/r)\n");
@@ -318,6 +352,11 @@ int main() {
   const bool ChaosBuilt = true;
 #else
   const bool ChaosBuilt = false;
+#endif
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+  const bool Sanitized = true;
+#else
+  const bool Sanitized = false;
 #endif
 
   bool TierIdentical = false;
@@ -341,7 +380,8 @@ int main() {
     Legs.push_back(Leg);
   }
 
-  uint64_t UnstructuredTotal = 0, BadRejectTotal = 0, MismatchTotal = 0;
+  uint64_t UnstructuredTotal = 0, BadRejectTotal = 0,
+           MismatchTotal = CapacityMismatches;
   for (const LegResult &L : Legs) {
     UnstructuredTotal += L.Unstructured;
     BadRejectTotal += L.BadRejects;
@@ -367,17 +407,25 @@ int main() {
                  "{\n  \"hardware_concurrency\": %u,\n"
                  "  \"workers\": %u,\n  \"queue_capacity\": %u,\n"
                  "  \"deadline_ms\": %u,\n  \"seconds_per_leg\": %.3f,\n"
-                 "  \"chaos_built\": %s,\n",
+                 "  \"chaos_built\": %s,\n  \"sanitized\": %s,\n",
                  std::thread::hardware_concurrency(), C.Workers,
                  C.QueueCapacity, C.DeadlineMs, C.SecondsPerLeg,
-                 ChaosBuilt ? "true" : "false");
+                 ChaosBuilt ? "true" : "false", Sanitized ? "true" : "false");
     std::fprintf(F, "  \"capacity\": [\n");
     for (size_t I = 0; I != Capacity.size(); ++I)
-      std::fprintf(F, "    {\"workers\": %u, \"jobs_per_sec\": %.2f}%s\n",
-                   Capacity[I].Workers, Capacity[I].St.JobsPerSecond,
+      std::fprintf(F,
+                   "    {\"workers\": %u, \"jobs_per_sec\": %.2f, "
+                   "\"jobs_per_sec_min\": %.2f, "
+                   "\"jobs_per_sec_max\": %.2f}%s\n",
+                   Capacity[I].Workers, Capacity[I].JobsPerSec,
+                   Capacity[I].MinJobsPerSec, Capacity[I].MaxJobsPerSec,
                    I + 1 != Capacity.size() ? "," : "");
-    std::fprintf(F, "  ],\n  \"capacity_jobs_per_sec\": %.2f,\n  \"legs\": [\n",
-                 CapacityJps);
+    std::fprintf(F,
+                 "  ],\n  \"capacity_jobs_per_sec\": %.2f,\n"
+                 "  \"capacity_failed_jobs\": %llu,\n"
+                 "  \"first_error\": \"%s\",\n  \"legs\": [\n",
+                 CapacityJps, static_cast<unsigned long long>(CapacityFailed),
+                 jsonEscape(FirstError).c_str());
     for (size_t I = 0; I != Legs.size(); ++I) {
       const LegResult &L = Legs[I];
       std::fprintf(

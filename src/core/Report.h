@@ -67,9 +67,9 @@ std::string formatQueryResult(const AnalysisResult &R,
 /// full per-predicate summary with Table 4/5 tags. Two runs of the same
 /// (program, goal, options) must produce equal fingerprints whether
 /// they ran cold, over a frozen shared cache tier, or on any worker
-/// count (bench/throughput.cpp gates on this; tests/AnalysisPoolTest.cpp
-/// pins it). Deliberately excludes timings and cache hit counters,
-/// which legitimately differ run to run.
+/// count (bench/service_soak.cpp gates on this;
+/// tests/AnalysisServiceTest.cpp pins it). Deliberately excludes timings
+/// and cache hit counters, which legitimately differ run to run.
 std::string analysisFingerprint(const AnalysisResult &R);
 
 } // namespace gaia

@@ -59,7 +59,7 @@ struct TypeLeaf {
     /// shared tier, Ops' frozen maps, the interner's frozen prefix and
     /// the pre-primed Consts all point into the SharedCache; holding the
     /// refcount here guarantees they outlive every value this context
-    /// hands out, even if the pool swaps its cache mid-batch.
+    /// hands out, even if the service that ran the job drops its tier.
     std::shared_ptr<const SharedCache> Shared;
   };
 

@@ -318,21 +318,30 @@ void AnalysisService::workerLoop(std::shared_ptr<Impl> In,
     }
     In->NotFull.notify_one();
 
-    // The deadline is end-to-end from admission: a job that waited gets
-    // only its remaining budget (floored at 1ms so the analyzer's own
-    // poll reports Deadline rather than us guessing here).
-    AnalyzerOptions JobOpts = In->Options.Opts;
-    JobOpts.Shared = In->Options.Shared;
-    JobOpts.Cancel = Slot->Cancel;
-    if (E.HasDeadline) {
-      double RemainMs = msSince(ServiceClock::now(), E.DeadlineAt);
-      JobOpts.DeadlineMs =
-          static_cast<uint32_t>(std::max(1.0, RemainMs));
+    JobOutcome O;
+    try {
+      // The deadline is end-to-end from admission: a job that waited
+      // gets only its remaining budget (floored at 1ms so the analyzer's
+      // own poll reports Deadline rather than us guessing here).
+      AnalyzerOptions JobOpts = In->Options.Opts;
+      JobOpts.Shared = In->Options.Shared;
+      JobOpts.Cancel = Slot->Cancel;
+      if (E.HasDeadline) {
+        double RemainMs = msSince(ServiceClock::now(), E.DeadlineAt);
+        JobOpts.DeadlineMs =
+            static_cast<uint32_t>(std::max(1.0, RemainMs));
+      }
+      O = runContainedJob(E.Job, JobOpts, In->Options.Resilience.get(),
+                          E.Seq * 251);
+    } catch (...) {
+      // The option copy above allocates (TypeDatabase is a vector of
+      // strings) outside runContainedJob's own containment; an
+      // allocator failure there must still fulfill the ticket, not
+      // terminate the process with this slot marked busy.
+      O.Result.Fail = FailKind::Exception;
+      O.Result.Error = "exception escaped the job runner";
+      O.Result.Converged = false;
     }
-
-    JobOutcome O = runContainedJob(E.Job, JobOpts,
-                                   In->Options.Resilience.get(),
-                                   E.Seq * 251);
     O.Worker = Slot->Index;
 
     ServiceOutcome Out;
@@ -507,3 +516,15 @@ bool AnalysisService::drained() const {
   return In->Drained;
 }
 
+std::vector<JobOutcome> gaia::serveBatch(AnalysisService &Svc,
+                                         const std::vector<AnalysisJob> &Jobs) {
+  std::vector<ServiceTicketPtr> Tickets;
+  Tickets.reserve(Jobs.size());
+  for (const AnalysisJob &J : Jobs)
+    Tickets.push_back(Svc.submit({J, 0}));
+  std::vector<JobOutcome> Out;
+  Out.reserve(Jobs.size());
+  for (const ServiceTicketPtr &T : Tickets)
+    Out.push_back(T->wait().Outcome);
+  return Out;
+}

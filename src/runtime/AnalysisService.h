@@ -1,11 +1,11 @@
 //===- runtime/AnalysisService.h - Resident analysis front-end ------------==//
 ///
 /// \file
-/// The resident serving layer over the AnalysisPool/ResilienceManager/
-/// SharedCache stack: where AnalysisPool::run dispatches one fixed
-/// batch and blocks, AnalysisService accepts a continuous stream of
-/// submissions and makes *load* — not just individual jobs — unable to
-/// take the process down. Design (see DESIGN.md, "Serving and
+/// The one worker runtime over the ResilienceManager/SharedCache stack.
+/// AnalysisService accepts a continuous stream of submissions and makes
+/// *load* — not just individual jobs — unable to take the process down;
+/// a batch is the same stream under AdmitPolicy::Block, submitted and
+/// awaited by serveBatch. Design (see DESIGN.md, "Serving and
 /// overload"):
 ///
 ///   - a bounded MPMC admission queue with an explicit policy: Block
@@ -54,6 +54,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 namespace gaia {
 
@@ -88,11 +89,15 @@ struct ServiceOptions {
   /// default per-request deadline (a ServiceRequest may override it);
   /// the deadline is end-to-end from admission, so a job that waited in
   /// the queue runs with only its remaining budget.
+  /// Opts.Cancel is ignored: each job's Cancel is its ticket's token.
   AnalyzerOptions Opts;
   /// Frozen shared tier every job reads through (may be null: jobs run
   /// cold).
   std::shared_ptr<const SharedCache> Shared;
-  /// Optional retry-with-degradation ladder, as in PoolOptions.
+  /// Optional retry-with-degradation ladder (runtime/Resilience.h),
+  /// shared by every worker. Null = no retries: a failed job reports its
+  /// structured failure as-is. Exception containment is unconditional
+  /// either way — a worker thread never dies to a job.
   std::shared_ptr<ResilienceManager> Resilience;
   /// Overload state machine: Saturated when queue depth reaches this
   /// fraction of QueueCapacity (or the head has aged half its shedding
@@ -256,10 +261,19 @@ private:
   ServiceTicketPtr submitImpl(ServiceRequest R, bool AllowBlock);
 
   /// Everything workers (and a detached straggler) can touch, owned by
-  /// shared_ptr exactly like AnalysisPool's Batch: the service object
-  /// may die while a poisoned thread is still unwinding.
+  /// shared_ptr: the service object may die while a poisoned thread is
+  /// still unwinding.
   std::shared_ptr<Impl> In;
 };
+
+/// Runs \p Jobs as one batch through \p Svc: submits each job under the
+/// service's admission policy and default deadline, waits on every
+/// ticket, and returns the outcomes in job order. Under
+/// AdmitPolicy::Block (the default) and without deadlines, a live
+/// service runs every job; a job the service refuses or sheds comes
+/// back as its structured FailKind::Rejected outcome.
+std::vector<JobOutcome> serveBatch(AnalysisService &Svc,
+                                   const std::vector<AnalysisJob> &Jobs);
 
 } // namespace gaia
 

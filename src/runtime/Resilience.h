@@ -34,8 +34,8 @@
 /// non-degraded result releases the quarantine, a probe that fails (or
 /// only survives degraded) re-arms it for another TTL window.
 ///
-/// The manager is shared by all workers of a pool (and may be shared by
-/// several pools); every method is thread-safe.
+/// The manager is shared by all workers of a service (and may be shared
+/// by several services); every method is thread-safe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,8 +83,8 @@ enum class RecoveryRung : uint8_t {
 
 const char *recoveryRungName(RecoveryRung R);
 
-/// One finished job (the unit both AnalysisPool batches and
-/// AnalysisService tickets deliver).
+/// One finished job (the unit AnalysisService tickets, and so
+/// serveBatch batches, deliver).
 struct JobOutcome {
   AnalysisResult Result;
   double Seconds = 0;  ///< wall time of this job on its worker
@@ -118,8 +118,8 @@ struct ResilienceStats {
 /// exception that escapes the analysis (parser, std::bad_alloc, an
 /// internal invariant, an injected chaos fault) is converted into a
 /// structured failure (Ok = false, Fail = FailKind::Exception, Error =
-/// what()). This is the only analysis entry point AnalysisPool workers
-/// use; with it, a worker thread cannot die to a per-job failure.
+/// what()). This is the only analysis entry point AnalysisService
+/// workers use; with it, a worker thread cannot die to a per-job failure.
 AnalysisResult containedAnalyze(const std::string &Source,
                                 const std::string &GoalSpec,
                                 const AnalyzerOptions &Opts) noexcept;
@@ -189,14 +189,14 @@ private:
   std::unordered_map<uint64_t, uint32_t> Quarantine;
 };
 
-/// Runs one job end-to-end under the full containment stack shared by
-/// AnalysisPool workers and AnalysisService workers: quarantine
+/// Runs one job end-to-end under the full containment stack of an
+/// AnalysisService worker: quarantine
 /// preCheck (with probe-through reporting), one contained attempt with
 /// a deterministic per-(job, attempt) chaos-fault scope, and — when
 /// \p Res is non-null and the failure is ladder-eligible — the recovery
-/// ladder. \p FaultSaltBase seeds the fault stream (the convention is
-/// job-index * 251; the attempt index is added per retry), so the fault
-/// plan depends only on job identity, never on which worker ran it.
+/// ladder. \p FaultSaltBase seeds the fault stream (the service passes
+/// admission-seq * 251; the attempt index is added per retry), so the
+/// fault plan depends only on job identity, never on which worker ran it.
 /// noexcept: this is the last frame before a worker loop — even
 /// "impossible" throws become structured failures.
 JobOutcome runContainedJob(const AnalysisJob &Job,

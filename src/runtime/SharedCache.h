@@ -25,7 +25,8 @@
 /// workers never synchronize on anything. Cached results are exact
 /// (pure functions of operand languages), which is why per-job results
 /// are bit-identical to a cold sequential run — the property
-/// bench/throughput.cpp and tests/AnalysisPoolTest.cpp assert.
+/// bench/service_soak.cpp, tests/TierLifecycleTest.cpp and
+/// tests/AnalysisServiceTest.cpp assert.
 ///
 /// The frozen results are only valid for runs with the same
 /// normalization and widening configuration as the warmup;

@@ -11,12 +11,13 @@
 /// surface — op-cache lookup, graph normalization, interning, node
 /// allocation — and throw a synthetic exception with a small
 /// per-probe probability. The containment guard in the serving runtime
-/// (AnalysisPool::runOne) must convert every such throw into a
-/// structured per-job failure; the chaos soak proves it does at scale.
+/// (runContainedJob, called from AnalysisService::workerLoop) must
+/// convert every such throw into a structured per-job failure; the
+/// chaos soak proves it does at scale.
 ///
 /// Determinism: fault decisions come from a thread-local splitmix64
 /// stream re-seeded at the start of every job attempt from
-/// (global seed, job index, attempt). The fault pattern therefore
+/// (global seed, job admission sequence, attempt). The fault pattern therefore
 /// depends only on the job mix and the seed — never on thread
 /// scheduling — so a failing soak replays exactly under a debugger,
 /// and a retry (attempt+1) sees a fresh stream, which makes injected

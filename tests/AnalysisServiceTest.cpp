@@ -6,10 +6,11 @@
 /// policy, backpressure gauges and the Healthy -> Saturated -> Shedding
 /// overload ladder (driven deterministically via ServiceClock::advance),
 /// graceful drain semantics (submit-after-drain, queue shedding, the
-/// tier left intact for stacking), bit-identity of admitted jobs against the
-/// sequential oracle, and — in GAIA_FAULT_INJECT builds — the watchdog's
-/// cancel -> poison -> replace escalation on a deliberately stalled
-/// worker.
+/// tier left intact for stacking), bit-identity of admitted jobs and of
+/// serveBatch batches on 1/4/8 workers against the sequential oracle, a
+/// malformed job failing alone in a 100-job batch, and — in
+/// GAIA_FAULT_INJECT builds — the watchdog's cancel -> poison -> replace
+/// escalation on a deliberately stalled worker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +18,6 @@
 
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
-#include "runtime/AnalysisPool.h"
 #include "support/FaultInject.h"
 
 #include <gtest/gtest.h>
@@ -157,16 +157,117 @@ TEST_F(ServiceTest, AdmittedJobsMatchTheSequentialOracleAndDrainKeepsTier) {
   ASSERT_NE(Tier, nullptr) << Err;
   EXPECT_GT(Tier->stats().Graphs, Cache->stats().Graphs);
   EXPECT_GT(Tier->stats().OpResults, Cache->stats().OpResults);
-  PoolOptions PO;
-  PO.Workers = 2;
-  PO.Shared = Tier;
-  AnalysisPool Pool(PO);
-  std::vector<JobOutcome> Out = Pool.run(Jobs);
+  ServiceOptions StackedSO;
+  StackedSO.Workers = 2;
+  StackedSO.Shared = Tier;
+  AnalysisService Stacked(StackedSO);
+  std::vector<JobOutcome> Out = serveBatch(Stacked, Jobs);
   ASSERT_EQ(Out.size(), Jobs.size());
   for (size_t I = 0; I != Out.size(); ++I) {
     ASSERT_TRUE(Out[I].Result.Ok);
     EXPECT_EQ(fingerprint(Out[I].Result), Oracle[I])
         << Jobs[I].Key << ": the stacked tier changed a result";
+  }
+}
+
+/// The tier warmed on the Section 9 published goals, built once for the
+/// batch tests that only read it.
+const std::shared_ptr<const SharedCache> &section9Tier() {
+  static const std::shared_ptr<const SharedCache> Tier = [] {
+    std::string Err;
+    std::shared_ptr<const SharedCache> T =
+        SharedCache::build(section9Jobs(), AnalyzerOptions{}, &Err);
+    EXPECT_NE(T, nullptr) << Err;
+    return T;
+  }();
+  return Tier;
+}
+
+TEST_F(ServiceTest, BatchResultsMatchSequentialOnEveryWorkerCount) {
+  std::vector<AnalysisJob> Jobs = section9Jobs();
+  // Two waves of the batch, interleaved, so workers contend.
+  std::vector<AnalysisJob> Batch;
+  for (const AnalysisJob &J : Jobs) {
+    Batch.push_back(J);
+    Batch.push_back(J);
+  }
+  std::vector<std::string> Oracle;
+  for (const AnalysisJob &J : Batch)
+    Oracle.push_back(fingerprint(analyzeProgram(J.Source, J.GoalSpec)));
+
+  for (uint32_t Workers : {1u, 4u, 8u}) {
+    ServiceOptions SO;
+    SO.Workers = Workers;
+    SO.Shared = section9Tier();
+    AnalysisService Svc(SO);
+    EXPECT_EQ(Svc.workers(), Workers);
+    std::vector<JobOutcome> Out = serveBatch(Svc, Batch);
+    ASSERT_EQ(Out.size(), Batch.size());
+    uint64_t SharedHits = 0;
+    for (size_t I = 0; I != Out.size(); ++I) {
+      EXPECT_TRUE(Out[I].Result.Ok) << Batch[I].Key;
+      EXPECT_TRUE(Out[I].Result.Converged) << Batch[I].Key;
+      EXPECT_EQ(Oracle[I], fingerprint(Out[I].Result))
+          << Batch[I].Key << " on " << Workers << " workers";
+      SharedHits += Out[I].Result.Stats.OpCacheSharedHits;
+    }
+    EXPECT_GT(SharedHits, 0u);
+  }
+}
+
+TEST_F(ServiceTest, EmptyBatchAndRepeatedBatchesAreFine) {
+  ServiceOptions SO;
+  SO.Workers = 2;
+  SO.Shared = section9Tier();
+  AnalysisService Svc(SO);
+  EXPECT_TRUE(serveBatch(Svc, {}).empty());
+  // Several batches through one service: threads are reused.
+  for (int I = 0; I != 3; ++I) {
+    std::vector<JobOutcome> Out = serveBatch(Svc, {cheapJob()});
+    ASSERT_EQ(Out.size(), 1u);
+    EXPECT_TRUE(Out[0].Result.Ok);
+  }
+  EXPECT_EQ(Svc.stats().Completed, 3u);
+}
+
+/// One bad program in a 100-job batch fails alone — a structured per-job
+/// FailKind::ParseError with the parser's message and line — while the
+/// other 99 jobs stay bit-identical to their oracle runs.
+TEST_F(ServiceTest, OneMalformedJobFailsAloneInA100JobBatch) {
+  std::vector<AnalysisJob> Good = section9Jobs();
+  std::vector<AnalysisJob> Batch;
+  size_t BadIndex = 57;
+  while (Batch.size() < 100) {
+    if (Batch.size() == BadIndex)
+      Batch.push_back({"bad", "p(a).\nq(X) :- r(X,.\n", "p(any)"});
+    else
+      Batch.push_back(Good[Batch.size() % Good.size()]);
+  }
+  std::vector<std::string> Oracle(Batch.size());
+  for (size_t I = 0; I != Batch.size(); ++I)
+    if (I != BadIndex)
+      Oracle[I] = fingerprint(analyzeProgram(Batch[I].Source,
+                                             Batch[I].GoalSpec));
+
+  ServiceOptions SO;
+  SO.Workers = 4;
+  SO.Shared = section9Tier();
+  AnalysisService Svc(SO);
+  std::vector<JobOutcome> Out = serveBatch(Svc, Batch);
+  ASSERT_EQ(Out.size(), Batch.size());
+
+  const AnalysisResult &Bad = Out[BadIndex].Result;
+  EXPECT_FALSE(Bad.Ok);
+  EXPECT_EQ(Bad.Fail, FailKind::ParseError);
+  EXPECT_EQ(Bad.FailLine, 2u);
+  EXPECT_NE(Bad.Error.find("line 2"), std::string::npos) << Bad.Error;
+
+  for (size_t I = 0; I != Out.size(); ++I) {
+    if (I == BadIndex)
+      continue;
+    EXPECT_TRUE(Out[I].Result.Ok) << Batch[I].Key;
+    EXPECT_EQ(Oracle[I], fingerprint(Out[I].Result))
+        << Batch[I].Key << " at index " << I;
   }
 }
 

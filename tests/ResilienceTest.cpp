@@ -14,7 +14,7 @@
 
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
-#include "runtime/AnalysisPool.h"
+#include "runtime/AnalysisService.h"
 #include "support/FaultInject.h"
 #include "typegraph/GraphOps.h"
 
@@ -133,38 +133,33 @@ TEST(Cancellation, CancelledWaveLeavesNoTraceInTheTier) {
   const uint64_t Graphs = Tier->ops()->Intern->size();
   const uint64_t OpResults = Tier->ops()->resultCount();
 
-  PoolOptions PO;
-  PO.Workers = 4;
-  PO.Shared = Tier;
+  ServiceOptions SO;
+  SO.Workers = 4;
+  SO.Shared = Tier;
 
   std::vector<std::string> CleanFps;
   {
-    AnalysisPool Pool(PO);
-    for (const JobOutcome &O : Pool.run(Jobs))
+    AnalysisService Svc(SO);
+    for (const JobOutcome &O : serveBatch(Svc, Jobs))
       CleanFps.push_back(fingerprint(O.Result));
   }
 
-  // A fully-cancelled wave (same jobs, token tripped before dispatch)
-  // over the same tier.
-  {
-    auto Token = std::make_shared<CancelToken>();
-    Token->cancel();
-    PoolOptions CancelledPO = PO;
-    CancelledPO.Opts.Cancel = Token;
-    AnalysisPool CancelledPool(CancelledPO);
-    BatchStats CancelledStats;
-    std::vector<JobOutcome> Cancelled =
-        CancelledPool.run(Jobs, &CancelledStats);
-    ASSERT_EQ(Cancelled.size(), Jobs.size());
-    for (const JobOutcome &O : Cancelled) {
-      EXPECT_FALSE(O.Result.Ok);
-      EXPECT_EQ(O.Result.Fail, FailKind::Cancelled);
-    }
-    EXPECT_EQ(CancelledStats.Failed, Jobs.size());
+  // A fully-cancelled wave (same jobs, token tripped before each run)
+  // over the same tier. It runs directly: the service gives each job
+  // its own ticket's token.
+  auto Token = std::make_shared<CancelToken>();
+  Token->cancel();
+  AnalyzerOptions CancelledOpts;
+  CancelledOpts.Shared = Tier;
+  CancelledOpts.Cancel = Token;
+  for (const AnalysisJob &J : Jobs) {
+    JobOutcome O = runContainedJob(J, CancelledOpts, nullptr, 0);
+    EXPECT_FALSE(O.Result.Ok) << J.Key;
+    EXPECT_EQ(O.Result.Fail, FailKind::Cancelled) << J.Key;
   }
 
-  AnalysisPool Pool(PO);
-  std::vector<JobOutcome> Out = Pool.run(Jobs);
+  AnalysisService Svc(SO);
+  std::vector<JobOutcome> Out = serveBatch(Svc, Jobs);
   ASSERT_EQ(Out.size(), Jobs.size());
   for (size_t I = 0; I != Out.size(); ++I)
     EXPECT_EQ(CleanFps[I], fingerprint(Out[I].Result))
@@ -397,23 +392,27 @@ TEST(ResilienceLadder, ProbeThroughRestoresFullServiceEndToEnd) {
   EXPECT_EQ(Mgr->stats().QuarantineShortCircuits, 2u);
 }
 
-/// End-to-end: a pool with deadline-doomed jobs and a ladder ends the
+/// End-to-end: a service with deadline-doomed jobs and a ladder ends the
 /// batch with every job answered (Ok through a degrading rung), no
-/// worker lost, and the per-rung stats visible.
-TEST(ResilienceLadder, PoolRecoversDeadlinedJobsEndToEnd) {
+/// worker lost, and the per-rung stats visible. Service deadlines run
+/// from admission and a job that expires while queued is shed, so each
+/// job gets its own worker and a deadline well above dequeue latency
+/// yet well below PR's uncached run. The watchdog is off: it would
+/// cancel a ladder that legitimately outlives twice the deadline.
+TEST(ResilienceLadder, ServiceRecoversDeadlinedJobsEndToEnd) {
   const BenchmarkProgram *PR = findBenchmark("PR");
   ASSERT_NE(PR, nullptr);
   std::vector<AnalysisJob> Jobs(4, AnalysisJob{"PR", PR->Source,
                                                PR->GoalSpec});
 
-  PoolOptions PO;
-  PO.Workers = 2;
-  PO.Opts = heavyOpts();
-  PO.Opts.DeadlineMs = 1;
-  PO.Resilience = std::make_shared<ResilienceManager>();
-  AnalysisPool Pool(PO);
-  BatchStats St;
-  std::vector<JobOutcome> Out = Pool.run(Jobs, &St);
+  ServiceOptions SO;
+  SO.Workers = static_cast<uint32_t>(Jobs.size());
+  SO.Opts = heavyOpts();
+  SO.Opts.DeadlineMs = 20;
+  SO.Resilience = std::make_shared<ResilienceManager>();
+  SO.WatchdogPollMs = 0;
+  AnalysisService Svc(SO);
+  std::vector<JobOutcome> Out = serveBatch(Svc, Jobs);
   ASSERT_EQ(Out.size(), Jobs.size());
   for (const JobOutcome &O : Out) {
     EXPECT_TRUE(O.Result.Ok)
@@ -421,31 +420,29 @@ TEST(ResilienceLadder, PoolRecoversDeadlinedJobsEndToEnd) {
     EXPECT_NE(O.Rung, RecoveryRung::None);
     EXPECT_GE(O.Attempts, O.Rung == RecoveryRung::Quarantined ? 0u : 2u);
   }
-  EXPECT_EQ(St.Failed, 0u);
-  EXPECT_TRUE(St.FirstError.empty());
-  EXPECT_GT(PO.Resilience->stats().FirstAttemptFailures, 0u);
+  EXPECT_GT(SO.Resilience->stats().FirstAttemptFailures, 0u);
 }
 
-/// Without a ladder the failure is reported as-is — and the batch stats
-/// surface it (the bench/gate chain reads Failed/FirstError).
-TEST(ResilienceLadder, NoLadderMeansStructuredFailureInStats) {
+/// Without a ladder the failure is reported as-is, in the failing job's
+/// own outcome.
+TEST(ResilienceLadder, NoLadderMeansAStructuredFailure) {
   std::vector<AnalysisJob> Jobs{
       {"good", "p(a).\n", "p(any)"},
       {"bad", "p(a) :- .\n", "p(any)"},
   };
-  PoolOptions PO;
-  PO.Workers = 2;
-  AnalysisPool Pool(PO);
-  BatchStats St;
-  std::vector<JobOutcome> Out = Pool.run(Jobs, &St);
+  ServiceOptions SO;
+  SO.Workers = 2;
+  AnalysisService Svc(SO);
+  std::vector<JobOutcome> Out = serveBatch(Svc, Jobs);
   ASSERT_EQ(Out.size(), 2u);
   EXPECT_TRUE(Out[0].Result.Ok);
+  EXPECT_EQ(Out[0].Rung, RecoveryRung::None);
   EXPECT_FALSE(Out[1].Result.Ok);
   EXPECT_EQ(Out[1].Result.Fail, FailKind::ParseError);
-  EXPECT_FALSE(St.AllOk);
-  EXPECT_EQ(St.Failed, 1u);
-  EXPECT_NE(St.FirstError.find("bad: "), std::string::npos)
-      << St.FirstError;
+  EXPECT_EQ(Out[1].Rung, RecoveryRung::None);
+  EXPECT_EQ(Out[1].Attempts, 1u);
+  EXPECT_NE(Out[1].Result.Error.find("line 1"), std::string::npos)
+      << Out[1].Result.Error;
 }
 
 #ifdef GAIA_FAULT_INJECT
@@ -517,7 +514,7 @@ TEST_F(FaultInjection, FaultPlanIsDeterministicPerJobAndAttempt) {
   EXPECT_EQ(Signature(3), Signature(3)) << "signatures must replay too";
 }
 
-TEST_F(FaultInjection, LadderRecoversInjectedFaultsInThePool) {
+TEST_F(FaultInjection, LadderRecoversInjectedFaultsInTheService) {
   // p high enough that many jobs fault, low enough that retries (fresh
   // stream per attempt) usually survive: the ladder's bread and butter.
   faultinject::configure(5e-3, 99);
@@ -526,12 +523,11 @@ TEST_F(FaultInjection, LadderRecoversInjectedFaultsInThePool) {
     for (const AnalysisJob &J : section9Jobs())
       Jobs.push_back(J);
 
-  PoolOptions PO;
-  PO.Workers = 4;
-  PO.Resilience = std::make_shared<ResilienceManager>();
-  AnalysisPool Pool(PO);
-  BatchStats St;
-  std::vector<JobOutcome> Out = Pool.run(Jobs, &St);
+  ServiceOptions SO;
+  SO.Workers = 4;
+  SO.Resilience = std::make_shared<ResilienceManager>();
+  AnalysisService Svc(SO);
+  std::vector<JobOutcome> Out = serveBatch(Svc, Jobs);
   ASSERT_EQ(Out.size(), Jobs.size());
 
   uint64_t Faulted = 0;

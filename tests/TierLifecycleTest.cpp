@@ -7,14 +7,18 @@
 /// analysis results, because cached entries are exact pure functions of
 /// operand languages. The differential test below runs every Section 9
 /// program against all three configurations and is gated in ctest; the
-/// contract tests pin what a stacked build keeps of the tier below it.
+/// contract tests pin what a build puts in a tier, what a stacked build
+/// keeps of the tier below it, that an incompatible tier is bypassed,
+/// and that worker interners over one tier share its ids while their
+/// private deltas never alias them.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "runtime/AnalysisPool.h"
+#include "runtime/AnalysisService.h"
 
 #include "core/Report.h"
 #include "programs/Benchmarks.h"
+#include "typegraph/GrammarParser.h"
 
 #include <gtest/gtest.h>
 
@@ -77,6 +81,90 @@ std::shared_ptr<const SharedCache> buildTier(
       SharedCache::build(Warmup, Opts, &Err);
   EXPECT_NE(T, nullptr) << Err;
   return T;
+}
+
+/// The tier warmed on the Section 9 published goals, built once for the
+/// tests that only read it.
+const std::shared_ptr<const SharedCache> &section9Tier() {
+  static const std::shared_ptr<const SharedCache> Tier =
+      buildTier(section9Jobs());
+  return Tier;
+}
+
+TEST(TierLifecycleTest, BuildPopulatesTheTier) {
+  const SharedCache &Cache = *section9Tier();
+  const SharedCache::BuildStats &St = Cache.stats();
+  EXPECT_EQ(St.WarmupJobs, table123Suite().size());
+  EXPECT_TRUE(St.AllConverged);
+  EXPECT_GT(St.Graphs, 100u) << "warmup should intern hundreds of languages";
+  EXPECT_GT(St.OpResults, 1000u);
+  EXPECT_GT(St.Symbols, 0u);
+  EXPECT_EQ(Cache.ops()->Intern->size(), St.Graphs);
+}
+
+TEST(TierLifecycleTest, SharedTierRunsAreBitIdenticalToColdRuns) {
+  for (const AnalysisJob &J : section9Jobs()) {
+    AnalysisResult Cold = analyzeProgram(J.Source, J.GoalSpec);
+    AnalysisResult Tiered = runOver(J, section9Tier());
+    ASSERT_TRUE(Cold.Ok && Tiered.Ok) << J.Key;
+    EXPECT_EQ(fingerprint(Cold), fingerprint(Tiered)) << J.Key;
+    // The warmup ran exactly this job, so the tier must resolve a large
+    // share of its operations.
+    EXPECT_GT(Tiered.Stats.OpCacheSharedHits, 0u) << J.Key;
+    EXPECT_EQ(Cold.Stats.OpCacheSharedHits, 0u);
+  }
+}
+
+TEST(TierLifecycleTest, IncompatibleOptionsBypassTheTierSoundly) {
+  const std::shared_ptr<const SharedCache> &Cache = section9Tier();
+  const BenchmarkProgram *B = findBenchmark("KA");
+  AnalyzerOptions Capped;
+  Capped.OrCap = 2;
+  AnalysisResult Cold = analyzeProgram(B->Source, B->GoalSpec, Capped);
+  Capped.Shared = Cache; // built with OrCap = 0: incompatible
+  EXPECT_FALSE(Cache->compatibleWith(Capped));
+  AnalysisResult Tiered = analyzeProgram(B->Source, B->GoalSpec, Capped);
+  EXPECT_EQ(fingerprint(Cold), fingerprint(Tiered));
+  EXPECT_EQ(Tiered.Stats.OpCacheSharedHits, 0u)
+      << "an incompatible tier must not be consulted";
+
+  AnalyzerOptions Compatible;
+  Compatible.Shared = Cache;
+  EXPECT_TRUE(Cache->compatibleWith(Compatible));
+  AnalyzerOptions PF;
+  PF.Domain = DomainKind::PrincipalFunctors;
+  PF.Shared = Cache;
+  EXPECT_FALSE(Cache->compatibleWith(PF));
+  AnalysisResult PFRun = analyzeProgram(B->Source, B->GoalSpec, PF);
+  EXPECT_TRUE(PFRun.Ok) << PFRun.Error;
+}
+
+TEST(TierLifecycleTest, RefreezingLayersANewTierOverTheOld) {
+  // A second batch (new programs) frozen on top of the Section 9 tier:
+  // the merged tier keeps every old language (ids preserved) and adds
+  // the new ones.
+  const std::shared_ptr<const SharedCache> &Cache = section9Tier();
+  std::vector<AnalysisJob> Extra;
+  Extra.push_back({"nrev",
+                   "app([],L,L).\n"
+                   "app([X|T],L,[X|R]) :- app(T,L,R).\n"
+                   "nrev([],[]).\n"
+                   "nrev([X|T],R) :- nrev(T,RT), app(RT,[X],R).\n",
+                   "nrev(any,any)"});
+  std::shared_ptr<const SharedCache> Merged = buildTier(Extra, Cache);
+  ASSERT_NE(Merged, nullptr);
+  EXPECT_GE(Merged->stats().Graphs, Cache->stats().Graphs);
+  EXPECT_GE(Merged->stats().OpResults, Cache->stats().OpResults);
+
+  // Jobs from both batches resolve against the merged tier.
+  for (const AnalysisJob &J :
+       {Extra[0], AnalysisJob{"KA", findBenchmark("KA")->Source,
+                              findBenchmark("KA")->GoalSpec}}) {
+    AnalysisResult Cold = analyzeProgram(J.Source, J.GoalSpec);
+    AnalysisResult Tiered = runOver(J, Merged);
+    EXPECT_EQ(fingerprint(Cold), fingerprint(Tiered)) << J.Key;
+    EXPECT_GT(Tiered.Stats.OpCacheSharedHits, 0u) << J.Key;
+  }
 }
 
 /// The acceptance differential: each Section 9 program, analyzed over
@@ -191,34 +279,46 @@ TEST(TierLifecycleTest, StackingOverAnIncompatibleTierBuildsAFreshTier) {
   EXPECT_TRUE(OverExact->compatibleWith(Capped));
 }
 
-/// Four batches, each served by a fresh pool over the current tier and
-/// then stacked (churn job included) into the tier the next batch
+/// Four batches, each served by a fresh service over the current tier
+/// and then stacked (churn job included) into the tier the next batch
 /// reads: every job of every batch stays bit-identical to its cold run
-/// while the tier grows underneath.
+/// while the tier grows underneath. Each batch also carries a "list"
+/// variant of four list programs. The warmup never saw the variants, so
+/// the first batch computes them in worker deltas; stacking them is what
+/// lets the later batches resolve more operations from the tier.
 TEST(TierLifecycleTest, LifecycleRotatesTiersAcrossBatchesUnchanged) {
   std::vector<AnalysisJob> Jobs = section9Jobs();
+  for (const char *Key : {"QU", "DS", "PL", "BR"})
+    Jobs.push_back(variantJob(Key, "list"));
   std::map<std::string, std::string> Oracle;
   for (const AnalysisJob &J : Jobs)
     Oracle[J.Key] = fingerprint(analyzeProgram(J.Source, J.GoalSpec));
 
-  std::shared_ptr<const SharedCache> Tier = buildTier(Jobs);
+  std::shared_ptr<const SharedCache> Tier = section9Tier();
+  uint64_t FirstSharedHits = 0, LastSharedHits = 0;
   for (unsigned Gen = 0; Gen != 4; ++Gen) {
     std::vector<AnalysisJob> Batch = Jobs;
     Batch.push_back(churnJob(100 + Gen));
     std::string ChurnWant = fingerprint(
         analyzeProgram(Batch.back().Source, Batch.back().GoalSpec));
 
-    PoolOptions PO;
-    PO.Workers = 4;
-    PO.Shared = Tier;
-    AnalysisPool Pool(PO);
-    std::vector<JobOutcome> Out = Pool.run(Batch);
+    ServiceOptions SO;
+    SO.Workers = 4;
+    SO.Shared = Tier;
+    AnalysisService Svc(SO);
+    std::vector<JobOutcome> Out = serveBatch(Svc, Batch);
     ASSERT_EQ(Out.size(), Batch.size());
+    uint64_t SharedHits = 0;
+    for (const JobOutcome &O : Out)
+      SharedHits += O.Result.Stats.OpCacheSharedHits;
     for (size_t I = 0; I != Jobs.size(); ++I)
       EXPECT_EQ(Oracle[Batch[I].Key], fingerprint(Out[I].Result))
           << Batch[I].Key << " at generation " << Gen;
     EXPECT_EQ(ChurnWant, fingerprint(Out.back().Result))
         << "churn at generation " << Gen;
+    if (Gen == 0)
+      FirstSharedHits = SharedHits;
+    LastSharedHits = SharedHits;
 
     std::shared_ptr<const SharedCache> Next = buildTier(Batch, Tier);
     ASSERT_NE(Next, nullptr);
@@ -227,6 +327,53 @@ TEST(TierLifecycleTest, LifecycleRotatesTiersAcrossBatchesUnchanged) {
     EXPECT_GT(Next->symbols().numFunctors(), Tier->symbols().numFunctors());
     Tier = std::move(Next);
   }
+
+  // The stacked variants made the last batch resolve more operations
+  // from the tier than the first.
+  EXPECT_GT(LastSharedHits, FirstSharedHits);
+}
+
+TEST(TierLifecycleTest, WorkerInternersShareTierIdsAndNeverAliasDeltas) {
+  const std::shared_ptr<const SharedCache> &Cache = section9Tier();
+  std::shared_ptr<const FrozenInternTier> Tier = Cache->ops()->Intern;
+  CanonId Base = Tier->size();
+
+  // Two independent "workers" over one tier.
+  SymbolTable SymsA = Cache->symbols();
+  SymbolTable SymsB = Cache->symbols();
+  GraphInterner A(SymsA, Tier);
+  GraphInterner B(SymsB, Tier);
+
+  // A language the warmup certainly saw (the any-list flows through
+  // every list program) resolves to the same shared id in both.
+  std::string Err;
+  std::optional<TypeGraph> ListA =
+      parseGrammar("T ::= [] | cons(Any, T).", SymsA, &Err);
+  std::optional<TypeGraph> ListB =
+      parseGrammar("T ::= [] | cons(Any, T).", SymsB, &Err);
+  ASSERT_TRUE(ListA && ListB);
+  TypeGraph NA = normalizeGraph(*ListA, SymsA);
+  TypeGraph NB = normalizeGraph(*ListB, SymsB);
+  CanonId IdA = A.intern(NA);
+  CanonId IdB = B.intern(NB);
+  EXPECT_EQ(IdA, IdB);
+  EXPECT_LT(IdA, Base);
+  EXPECT_GT(A.stats().SharedHits, 0u);
+
+  // A language no Section 9 program produces gets a *private* id at or
+  // beyond the tier size in both workers — delta ids never collide with
+  // tier ids, and the two deltas are independent.
+  std::optional<TypeGraph> NovelA = parseGrammar(
+      "T ::= zz9_unique(Int, Int, Int, Int).", SymsA, &Err);
+  std::optional<TypeGraph> NovelB = parseGrammar(
+      "T ::= zz9_unique(Int, Int, Int, Int).", SymsB, &Err);
+  ASSERT_TRUE(NovelA && NovelB);
+  CanonId PrivA = A.intern(normalizeGraph(*NovelA, SymsA));
+  CanonId PrivB = B.intern(normalizeGraph(*NovelB, SymsB));
+  EXPECT_GE(PrivA, Base);
+  EXPECT_GE(PrivB, Base);
+  EXPECT_EQ(A.graph(PrivA).numNodes(), B.graph(PrivB).numNodes());
+  EXPECT_EQ(A.size(), Base + A.deltaSize());
 }
 
 } // namespace

@@ -93,7 +93,7 @@ SCRATCH_PARAM_RE = re.compile(r"^\w*Scratch$")
 LOCAL_CONTAINER_BAN = ("vector", "unordered_map", "map")
 HOT_CONTAINER_BAN = ("map", "multimap")
 DEFAULT_HOT_PATHS = ("src/typegraph", "src/gaia")
-# Directories whose code runs under the worker pool's noexcept
+# Directories whose code runs under the service workers' noexcept
 # containment boundary; the worker-noexcept rule runs only there.
 DEFAULT_WORKER_PATHS = ("src/runtime",)
 WORKER_BANNED_CALLS = ("abort", "exit", "_exit", "_Exit", "quick_exit",
@@ -722,8 +722,9 @@ def check_scratch_functions(file, toks, findings):
 
 def check_worker_noexcept(file, toks, findings):
     """The serving runtime's workers are noexcept at the job boundary
-    (AnalysisPool::runOne): a `throw` that reaches them terminates the
-    process, and abort()/exit() kill it outright — along with every
+    (runContainedJob, and the guarded option copy in
+    AnalysisService::workerLoop): a `throw` that reaches them terminates
+    the process, and abort()/exit() kill it outright — along with every
     in-flight job of every other worker. Failures in src/runtime/ must
     be structured AnalysisResults, never control-flow escapes."""
     n = len(toks)
@@ -733,8 +734,8 @@ def check_worker_noexcept(file, toks, findings):
         if t.text == "throw":
             findings.append(Finding(
                 "worker-noexcept", file, t.line, "throw",
-                "naked `throw` in the serving runtime: the worker pool is "
-                "noexcept at the job boundary, so an escaping exception "
+                "naked `throw` in the serving runtime: the service workers "
+                "are noexcept at the job boundary, so an escaping exception "
                 "terminates the whole process; return a structured "
                 "AnalysisResult failure instead"))
             continue
