@@ -3,6 +3,8 @@
 #include "typegraph/GraphOps.h"
 
 #include "support/Debug.h"
+#include "support/FaultInject.h"
+#include "support/GraphInterner.h" // structuralEqual, for sameNormalForm
 #include "support/Hashing.h"
 #include "support/SmallVector.h"
 
@@ -275,6 +277,28 @@ TypeGraph gaia::graphIntersect(const TypeGraph &G1, const TypeGraph &G2,
   return normalizeGraph(Raw, Syms, Opts, Scratch);
 }
 
+bool gaia::detail::sameNormalForm(const TypeGraph &A, const TypeGraph &B) {
+  return A.root() == B.root() && A.numNodes() == B.numNodes() &&
+         structuralEqual(A, B) && A.sameCertificate(B);
+}
+
+static bool certifiedFor(const TypeGraph &G, const NormalizeOptions &Opts) {
+  return G.isNormalizedFor(Opts.OrCap, Opts.MaxNodes, Opts.MaxDepth);
+}
+
+TypeGraph gaia::detail::graphUnionFull(const TypeGraph &G1,
+                                       const TypeGraph &G2,
+                                       const SymbolTable &Syms,
+                                       const NormalizeOptions &Opts,
+                                       NormalizeScratch *Scratch) {
+  TypeGraph Out;
+  Out.reserveNodes(G1.numNodes() + G2.numNodes() + 1);
+  NodeId R1 = copySubgraph(G1, G1.root(), Out);
+  NodeId R2 = copySubgraph(G2, G2.root(), Out);
+  Out.setRoot(Out.addOr({R1, R2}));
+  return normalizeGraph(Out, Syms, Opts, Scratch);
+}
+
 TypeGraph gaia::graphUnion(const TypeGraph &G1, const TypeGraph &G2,
                            const SymbolTable &Syms,
                            const NormalizeOptions &Opts,
@@ -283,12 +307,66 @@ TypeGraph gaia::graphUnion(const TypeGraph &G1, const TypeGraph &G2,
     return normalizeGraph(G2, Syms, Opts, Scratch);
   if (G2.isBottomGraph())
     return normalizeGraph(G1, Syms, Opts, Scratch);
-  TypeGraph Out;
-  Out.reserveNodes(G1.numNodes() + G2.numNodes() + 1);
-  NodeId R1 = copySubgraph(G1, G1.root(), Out);
-  NodeId R2 = copySubgraph(G2, G2.root(), Out);
-  Out.setRoot(Out.addOr({R1, R2}));
-  return normalizeGraph(Out, Syms, Opts, Scratch);
+  if (!certifiedFor(G1, Opts) || !certifiedFor(G2, Opts))
+    return detail::graphUnionFull(G1, G2, Syms, Opts, Scratch);
+  // The same chaos probe the full route's normalizeGraph carries.
+  GAIA_FAULT_POINT(Normalize);
+  TypeGraph U = normalizeCertifiedPair(G1, G1.root(), G2, G2.root(), Syms,
+                                       Opts, Scratch);
+  assert(detail::sameNormalForm(
+             U, detail::graphUnionFull(G1, G2, Syms, Opts, Scratch)) &&
+         "pair-state union diverged from the full pipeline");
+  return U;
+}
+
+/// True if no vertex reachable from or-vertex \p X of the certified graph
+/// \p G lies outside X's subtree, i.e. no back edge leaves the subtree
+/// for a proper ancestor of X. Normalization outputs are BFS-numbered, so
+/// tree edges go to higher ids and back edges to lower ones: the walk
+/// follows the increasing edges only (no visited set — under No-Sharing
+/// they form a tree) and fails at the first target below X. The other
+/// certified graphs, the make* constructors, have no back edges, and in
+/// makeFunctorOfAny (the only one with argument or-vertices) each
+/// argument's leaf has a lower id, so there the test can only decline.
+static bool subtreeIsClosed(const TypeGraph &G, NodeId X) {
+  SmallVector<NodeId, 16> Stack{X};
+  while (!Stack.empty()) {
+    NodeId V = Stack.back();
+    Stack.pop_back();
+    for (NodeId S : G.node(V).Succs) {
+      if (S < X)
+        return false;
+      if (S > V)
+        Stack.push_back(S);
+    }
+  }
+  return true;
+}
+
+/// The normalized graph of argument or-vertex \p X of \p V, certified for
+/// \p Opts. A closed subtree of a certified graph was unfolded with no
+/// state of its ancestors recurring in it, so it already is the unfold
+/// of its own language's minimal automaton: compacting it is the whole
+/// normalization. An escaping subtree recurs through an ancestor's state,
+/// which the unfold from X spells differently; it is determinized over
+/// V's or-vertices instead of closure keys.
+static TypeGraph restrictCertified(const TypeGraph &V, NodeId X,
+                                   const SymbolTable &Syms,
+                                   const NormalizeOptions &Opts,
+                                   NormalizeScratch *Scratch) {
+  TypeGraph Arg;
+  if (subtreeIsClosed(V, X)) {
+    TypeGraph Sub = V;
+    Sub.setRoot(X);
+    Arg = Sub.compact();
+    Arg.markNormalized(Opts.OrCap, Opts.MaxNodes, Opts.MaxDepth);
+  } else {
+    Arg = normalizeCertifiedPair(V, X, V, InvalidNode, Syms, Opts, Scratch);
+  }
+  assert(detail::sameNormalForm(Arg, normalizeFrom(V, {X}, Syms, Opts,
+                                                   Scratch)) &&
+         "certified restrict diverged from the full pipeline");
+  return Arg;
 }
 
 bool gaia::graphRestrict(const TypeGraph &V, FunctorId Fn,
@@ -316,11 +394,43 @@ bool gaia::graphRestrict(const TypeGraph &V, FunctorId Fn,
       continue;
     }
     if (N.Kind == NodeKind::Func && N.Fn == Fn) {
+      bool Certified = certifiedFor(V, Opts);
       for (NodeId ArgOr : N.Succs)
-        ArgsOut.push_back(normalizeFrom(V, {ArgOr}, Syms, Opts, Scratch));
+        ArgsOut.push_back(
+            Certified ? restrictCertified(V, ArgOr, Syms, Opts, Scratch)
+                      : normalizeFrom(V, {ArgOr}, Syms, Opts, Scratch));
       return true;
     }
   }
+  return false;
+}
+
+/// True if some or-vertex of an argument denotes f(Args) itself. Only an
+/// or-vertex whose single alternative is an \p Fn vertex can, and it does
+/// iff each of its argument positions denotes the corresponding argument
+/// graph (inclusion both ways). Minimization would merge such a vertex
+/// with the new root, so the canonical result recurs through the root
+/// (T ::= a | g(f(T)) gives f(T) ::= f(a | g(<root>))), not the naive
+/// shape.
+static bool argDenotesRoot(FunctorId Fn, const std::vector<TypeGraph> &Args,
+                           const SymbolTable &Syms, WideningScratch *WS) {
+  for (const TypeGraph &A : Args)
+    for (NodeId V = 0; V != A.numNodes(); ++V) {
+      const TGNode &N = A.node(V);
+      if (N.Kind != NodeKind::Or || N.Succs.size() != 1)
+        continue;
+      const TGNode &F = A.node(N.Succs[0]);
+      if (F.Kind != NodeKind::Func || F.Fn != Fn)
+        continue;
+      bool Equal = true;
+      for (size_t J = 0; J != Args.size() && Equal; ++J) {
+        const TypeGraph &B = Args[J];
+        Equal = vertexIncludes(B, B.root(), A, F.Succs[J], Syms, WS) &&
+                vertexIncludes(A, F.Succs[J], B, B.root(), Syms, WS);
+      }
+      if (Equal)
+        return true;
+    }
   return false;
 }
 
@@ -328,20 +438,39 @@ TypeGraph gaia::graphConstruct(FunctorId Fn,
                                const std::vector<TypeGraph> &Args,
                                const SymbolTable &Syms,
                                const NormalizeOptions &Opts,
-                               NormalizeScratch *Scratch) {
+                               NormalizeScratch *Scratch,
+                               WideningScratch *WS) {
   assert(Syms.functorArity(Fn) == Args.size() && "arity mismatch");
   TypeGraph G;
   SuccList ArgOrs;
   ArgOrs.reserve(Args.size());
   bool AnyArgBottom = false;
+  bool AllCertified = true;
   for (const TypeGraph &A : Args) {
     if (A.isBottomGraph())
       AnyArgBottom = true;
+    AllCertified = AllCertified && certifiedFor(A, Opts);
     ArgOrs.push_back(copySubgraph(A, A.root(), G));
   }
   if (AnyArgBottom)
     return TypeGraph::makeBottom();
   NodeId F = G.addFunc(Fn, std::move(ArgOrs));
   G.setRoot(G.addOr({F}));
+  // Certified arguments are their languages' unfolds, and the new root
+  // adds one state of or-degree 1 above them. Unless that state recurs
+  // inside an argument, the minimal automaton is the arguments' plus
+  // the root, and its unfold is the naive shape. A depth bound would
+  // count the extra level; the node bound is checked on the result.
+  if (AllCertified && Opts.MaxDepth == 0 &&
+      !argDenotesRoot(Fn, Args, Syms, WS)) {
+    TypeGraph R = G.compact();
+    if (R.numNodes() <= Opts.MaxNodes) {
+      R.markNormalized(Opts.OrCap, Opts.MaxNodes, Opts.MaxDepth);
+      assert(detail::sameNormalForm(R,
+                                    normalizeGraph(G, Syms, Opts, Scratch)) &&
+             "direct construct diverged from the full pipeline");
+      return R;
+    }
+  }
   return normalizeGraph(G, Syms, Opts, Scratch);
 }

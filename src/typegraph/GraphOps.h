@@ -18,93 +18,12 @@
 #ifndef GAIA_TYPEGRAPH_GRAPHOPS_H
 #define GAIA_TYPEGRAPH_GRAPHOPS_H
 
+#include "support/PairTable.h"
 #include "support/PfSetInterner.h"
 #include "typegraph/Normalize.h"
 #include "typegraph/TypeGraph.h"
 
 namespace gaia {
-
-/// Epoch-marked open-addressing hash table over (NodeId, NodeId) keys
-/// with a uint32_t payload. The product traversals (inclusion check,
-/// intersection, the widening's correspondence walk) need one visited
-/// set / memo per call; `begin()` forgets the previous call's entries in
-/// O(1) instead of deallocating, so a warm table performs no heap
-/// traffic at all.
-class PairTable {
-public:
-  /// Opens a new epoch; all previous entries become invisible.
-  void begin() {
-    ++Epoch;
-    Count = 0;
-    if (Slots.empty())
-      Slots.resize(256);
-  }
-
-  /// Inserts (A, B) -> Val if absent (begin() must have been called).
-  /// Returns the payload slot (existing or new) and whether the key was
-  /// inserted.
-  std::pair<uint32_t &, bool> insert(NodeId A, NodeId B, uint32_t Val = 0) {
-    assert(Epoch != 0 && "PairTable::begin() not called");
-    if ((Count + 1) * 4 >= Slots.size() * 3)
-      grow();
-    size_t I = probe(A, B);
-    Slot &S = Slots[I];
-    if (S.Mark == Epoch)
-      return {S.Val, false};
-    S.Mark = Epoch;
-    S.Key = key(A, B);
-    S.Val = Val;
-    ++Count;
-    return {S.Val, true};
-  }
-
-  /// Returns the payload of (A, B) in the current epoch, or null.
-  const uint32_t *find(NodeId A, NodeId B) const {
-    if (Slots.empty())
-      return nullptr;
-    size_t I = probe(A, B);
-    return Slots[I].Mark == Epoch ? &Slots[I].Val : nullptr;
-  }
-
-private:
-  struct Slot {
-    uint64_t Key = 0;
-    uint64_t Mark = 0;
-    uint32_t Val = 0;
-  };
-  static uint64_t key(NodeId A, NodeId B) {
-    return (uint64_t(A) << 32) | B;
-  }
-  /// First slot that holds (A, B) in this epoch or is free. Capacity is a
-  /// power of two; linear probing.
-  size_t probe(NodeId A, NodeId B) const {
-    uint64_t K = key(A, B);
-    uint64_t H = K * 0x9E3779B97F4A7C15ull;
-    size_t Mask = Slots.size() - 1;
-    size_t I = (H >> 32) & Mask;
-    while (Slots[I].Mark == Epoch && Slots[I].Key != K)
-      I = (I + 1) & Mask;
-    return I;
-  }
-  void grow() {
-    std::vector<Slot> Old = std::move(Slots);
-    Slots.assign(Old.empty() ? 256 : Old.size() * 2, Slot{});
-    for (const Slot &S : Old) {
-      if (S.Mark != Epoch)
-        continue;
-      uint64_t H = S.Key * 0x9E3779B97F4A7C15ull;
-      size_t Mask = Slots.size() - 1;
-      size_t I = (H >> 32) & Mask;
-      while (Slots[I].Mark == Epoch)
-        I = (I + 1) & Mask;
-      Slots[I] = S;
-    }
-  }
-
-  std::vector<Slot> Slots;
-  uint64_t Epoch = 0;
-  size_t Count = 0;
-};
 
 /// Reusable buffers for the pairwise graph operations and the Section 7
 /// widening loop, mirroring NormalizeScratch: one instance per analysis
@@ -198,7 +117,10 @@ TypeGraph graphIntersect(const TypeGraph &G1, const TypeGraph &G2,
                          NormalizeScratch *Scratch = nullptr,
                          WideningScratch *WS = nullptr);
 
-/// Returns a normalized G3 with Cc(G1) ∪ Cc(G2) ⊆ Cc(G3).
+/// Returns a normalized G3 with Cc(G1) ∪ Cc(G2) ⊆ Cc(G3). When both
+/// operands are certified for \p Opts the union is determinized over
+/// pairs of their or-vertices (normalizeCertifiedPair) instead of by the
+/// subset construction of the raw union; the result is the same graph.
 TypeGraph graphUnion(const TypeGraph &G1, const TypeGraph &G2,
                      const SymbolTable &Syms,
                      const NormalizeOptions &Opts = {},
@@ -207,22 +129,51 @@ TypeGraph graphUnion(const TypeGraph &G1, const TypeGraph &G2,
 /// Restricts \p V to terms with principal functor \p Fn (the leaf-domain
 /// unification primitive): returns false if no such terms exist;
 /// otherwise fills \p ArgsOut with one normalized graph per argument.
-/// \p V must be normalized.
+/// \p V must be normalized. When \p V is certified for \p Opts, an
+/// argument whose subtree has no back edge to a proper ancestor is
+/// already its language's canonical shape and is copied out, and any
+/// other argument is determinized over single or-vertices; the result
+/// is the same graph normalizeFrom would give.
 bool graphRestrict(const TypeGraph &V, FunctorId Fn, const SymbolTable &Syms,
                    const NormalizeOptions &Opts,
                    std::vector<TypeGraph> &ArgsOut,
                    NormalizeScratch *Scratch = nullptr);
 
 /// Builds the normalized graph denoting f(a1, ..., an) from normalized
-/// argument graphs (bottom if any argument is bottom).
+/// argument graphs (bottom if any argument is bottom). When every
+/// argument is certified for \p Opts, no depth bound is set, the result
+/// fits the node bound and no or-vertex of an argument denotes
+/// f(a1, ..., an) itself, the naive shape f(copies), compacted, is the
+/// canonical one and no normalization runs. The recurrence test uses
+/// \p WS's inclusion table (thread-local fallback when null).
 TypeGraph graphConstruct(FunctorId Fn, const std::vector<TypeGraph> &Args,
                          const SymbolTable &Syms,
                          const NormalizeOptions &Opts,
-                         NormalizeScratch *Scratch = nullptr);
+                         NormalizeScratch *Scratch = nullptr,
+                         WideningScratch *WS = nullptr);
 
 /// Deep-copies the structure reachable from \p V in \p From into \p Out,
 /// returning the id of the copy. Used by product constructions.
 NodeId copySubgraph(const TypeGraph &From, NodeId V, TypeGraph &Out);
+
+namespace detail {
+
+/// The union by the full pipeline: normalizeGraph over a fresh or-vertex
+/// joining copies of both operands. graphUnion's route for uncertified
+/// operands, and the reference its pair-state route is audited against.
+TypeGraph graphUnionFull(const TypeGraph &G1, const TypeGraph &G2,
+                         const SymbolTable &Syms,
+                         const NormalizeOptions &Opts,
+                         NormalizeScratch *Scratch);
+
+/// True if \p A and \p B are the same graph vertex for vertex (equal
+/// BFS-canonical shapes, roots and vertex counts, so two compacted
+/// graphs have identical node arrays) and carry the same certificate:
+/// the bar every certified-operand route is held to against the full
+/// pipeline, in the debug audits and in NormalizePropertyTest.
+bool sameNormalForm(const TypeGraph &A, const TypeGraph &B);
+
+} // namespace detail
 
 } // namespace gaia
 

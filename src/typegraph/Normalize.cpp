@@ -535,6 +535,135 @@ private:
   std::vector<uint32_t> PathKeys;
 };
 
+/// The subset construction specialized to two certified (deterministic)
+/// graphs: a state is a pair (or-vertex of G1 or none, or-vertex of G2 or
+/// none), and its constituents are the two successor lists, so the
+/// closure keys, their hashing and the functor sort are replaced by a
+/// pair-table probe and a merge of two rank-sorted lists. Each pair state
+/// maps to the subset state of the same two vertices with identical
+/// flags and transitions, which is why finish() reaches the same minimal
+/// automaton and hence the same graph.
+class PairDeterminizer : public DetBuilderBase {
+public:
+  PairDeterminizer(const TypeGraph &G1, const TypeGraph &G2,
+                   const SymbolTable &Syms, const NormalizeOptions &Opts,
+                   NormalizeScratch &Scratch)
+      : DetBuilderBase(G1, Syms, Opts, Scratch), G2(G2) {}
+
+  TypeGraph run(NodeId V1, NodeId V2) {
+    Scratch.PairIds.begin();
+    Scratch.StatePairs.clear();
+    uint32_t Root = stateFor(V1, V2);
+    for (uint32_t Id = 0; Id != States.size(); ++Id) {
+      // Same poll cadence as Determinizer::drainWorklist.
+      if (Opts.Cancel && (Id & 63u) == 0)
+        Opts.Cancel->poll();
+      pairTransitions(Id);
+    }
+    return finish(Root);
+  }
+
+private:
+  uint32_t stateFor(NodeId V1, NodeId V2) {
+    auto [Id, Inserted] = Scratch.PairIds.insert(
+        V1, V2, static_cast<uint32_t>(States.size()));
+    if (Inserted) {
+      States.emplace_back();
+      Scratch.StatePairs.emplace_back(V1, V2);
+    }
+    return Id;
+  }
+
+  /// computeTransitions for a pair state. Certified or-vertices satisfy
+  /// Isolated-Any and list Int and functors in functor-rank order
+  /// (TypeGraph::sortOrSuccessors), one vertex per functor.
+  void pairTransitions(uint32_t Id) {
+    auto [V1, V2] = Scratch.StatePairs[Id];
+    const SuccList *S1 = V1 == InvalidNode ? nullptr : &G.node(V1).Succs;
+    const SuccList *S2 = V2 == InvalidNode ? nullptr : &G2.node(V2).Succs;
+    auto HasKind = [](const TypeGraph &X, const SuccList *S, NodeKind K) {
+      if (S)
+        for (NodeId V : *S)
+          if (X.node(V).Kind == K)
+            return true;
+      return false;
+    };
+    if (HasKind(G, S1, NodeKind::Any) || HasKind(G2, S2, NodeKind::Any)) {
+      States[Id].IsAny = true;
+      return;
+    }
+    bool HasInt =
+        HasKind(G, S1, NodeKind::Int) || HasKind(G2, S2, NodeKind::Int);
+
+    // Merge the two functor lists by rank; a functor on both sides pairs
+    // its two vertices.
+    struct FnPair {
+      FunctorId Fn;
+      NodeId F1, F2; ///< functor vertices, InvalidNode if absent
+    };
+    SmallVector<FnPair, 8> Fns;
+    size_t I1 = 0, I2 = 0;
+    size_t E1 = S1 ? S1->size() : 0, E2 = S2 ? S2->size() : 0;
+    auto NextFunc = [](const TypeGraph &X, const SuccList *S, size_t &I,
+                       size_t E) {
+      while (I != E && X.node((*S)[I]).Kind != NodeKind::Func)
+        ++I;
+      return I == E ? InvalidNode : (*S)[I];
+    };
+    // An exhausted side ranks last, so each step takes the lower-ranked
+    // functor, or both vertices when the two sides share it.
+    auto RankOf = [&](const TypeGraph &X, NodeId F) -> uint64_t {
+      return F == InvalidNode ? UINT64_MAX : Syms.functorRank(X.node(F).Fn);
+    };
+    while (true) {
+      NodeId F1 = NextFunc(G, S1, I1, E1);
+      NodeId F2 = NextFunc(G2, S2, I2, E2);
+      if (F1 == InvalidNode && F2 == InvalidNode)
+        break;
+      uint64_t R1 = RankOf(G, F1), R2 = RankOf(G2, F2);
+      FnPair P{InvalidFunctor, InvalidNode, InvalidNode};
+      if (R1 <= R2) {
+        P.Fn = G.node(F1).Fn;
+        P.F1 = F1;
+        ++I1;
+      }
+      if (R2 <= R1) {
+        P.Fn = G2.node(F2).Fn;
+        P.F2 = F2;
+        ++I2;
+      }
+      if (HasInt && Syms.isIntegerLiteral(P.Fn))
+        continue; // absorbed by Int
+      Fns.push_back(P);
+    }
+
+    // Or-degree cap of Section 9, counted as computeTransitions does.
+    uint32_t Degree = (HasInt ? 1 : 0) + static_cast<uint32_t>(Fns.size());
+    if (Opts.OrCap != 0 && Degree > Opts.OrCap) {
+      States[Id].IsAny = true;
+      return;
+    }
+
+    auto ArgOf = [](const TypeGraph &X, NodeId F, uint32_t J) {
+      return F == InvalidNode ? InvalidNode : X.node(F).Succs[J];
+    };
+    std::vector<std::pair<FunctorId, std::vector<uint32_t>>> Trans;
+    Trans.reserve(Fns.size());
+    for (const FnPair &P : Fns) {
+      uint32_t Arity = Syms.functorArity(P.Fn);
+      std::vector<uint32_t> Args;
+      Args.reserve(Arity);
+      for (uint32_t J = 0; J != Arity; ++J)
+        Args.push_back(stateFor(ArgOf(G, P.F1, J), ArgOf(G2, P.F2, J)));
+      Trans.emplace_back(P.Fn, std::move(Args));
+    }
+    States[Id].HasInt = HasInt;
+    States[Id].Trans = std::move(Trans);
+  }
+
+  const TypeGraph &G2;
+};
+
 } // namespace
 
 TypeGraph gaia::normalizeGraph(const TypeGraph &G, const SymbolTable &Syms,
@@ -561,6 +690,21 @@ TypeGraph gaia::normalizeFrom(const TypeGraph &G,
   if (Start.empty())
     return TypeGraph::makeBottom();
   return Determinizer(G, Syms, Opts, scratchOr(Scratch)).run(Start);
+}
+
+TypeGraph gaia::normalizeCertifiedPair(const TypeGraph &G1, NodeId V1,
+                                       const TypeGraph &G2, NodeId V2,
+                                       const SymbolTable &Syms,
+                                       const NormalizeOptions &Opts,
+                                       NormalizeScratch *Scratch) {
+  assert((V1 != InvalidNode || V2 != InvalidNode) && "no start vertex");
+  assert((V1 == InvalidNode ||
+          G1.isNormalizedFor(Opts.OrCap, Opts.MaxNodes, Opts.MaxDepth)) &&
+         (V2 == InvalidNode ||
+          G2.isNormalizedFor(Opts.OrCap, Opts.MaxNodes, Opts.MaxDepth)) &&
+         "pair states need certified (deterministic) operands");
+  return PairDeterminizer(G1, G2, Syms, Opts, scratchOr(Scratch))
+      .run(V1, V2);
 }
 
 TypeGraph gaia::collapsingUnionFrom(const TypeGraph &G,

@@ -29,6 +29,7 @@
 #define GAIA_TYPEGRAPH_NORMALIZE_H
 
 #include "support/Hashing.h"
+#include "support/PairTable.h"
 #include "typegraph/TypeGraph.h"
 
 #include <unordered_map>
@@ -100,6 +101,10 @@ public:
                      U64VectorEq>
       NextBlocks;
   std::vector<uint64_t> SigBuf;
+  /// Pair-state union (normalizeCertifiedPair): the state id of each
+  /// (vertex of G1, vertex of G2) pair, and the pair of each state.
+  PairTable PairIds;
+  std::vector<std::pair<NodeId, NodeId>> StatePairs;
 
 private:
   std::vector<uint64_t> SeenMark;
@@ -121,6 +126,27 @@ TypeGraph normalizeFrom(const TypeGraph &G, const std::vector<NodeId> &Start,
                         const SymbolTable &Syms,
                         const NormalizeOptions &Opts = {},
                         NormalizeScratch *Scratch = nullptr);
+
+/// Normalizes the union of the denotations of vertex \p V1 of \p G1 and
+/// vertex \p V2 of \p G2 (InvalidNode stands for "no vertex"; at least
+/// one must be given). Both graphs must carry a certificate for \p Opts
+/// (TypeGraph::isNormalizedFor) and each given vertex must be an
+/// or-vertex. A certified graph is deterministic and lists Any alone,
+/// then Int and functors in functor-rank order, so the subset
+/// construction's states are just pairs of or-vertices: they are built
+/// from a pair table by merging the two sorted successor lists, with Any,
+/// Int absorption and the or-cap applied exactly as the subset
+/// construction applies them, and the rest of the pipeline (prune,
+/// minimize, unfold, sort, compact) runs unchanged. The pair automaton
+/// maps onto the subset construction's automaton state for state, so
+/// both minimize to the same automaton and the result is the graph
+/// normalizeFrom returns for the two vertices of the graphs copied side
+/// by side.
+TypeGraph normalizeCertifiedPair(const TypeGraph &G1, NodeId V1,
+                                 const TypeGraph &G2, NodeId V2,
+                                 const SymbolTable &Syms,
+                                 const NormalizeOptions &Opts = {},
+                                 NormalizeScratch *Scratch = nullptr);
 
 /// The minimal deterministic automaton equivalent to a graph. Unlike the
 /// graph itself (bound by No-Sharing), automaton states are shared, so

@@ -232,8 +232,8 @@ TypeGraph OpCache::constructOf(FunctorId Fn,
     return Interned.graph(It->second);
   }
   ++St.Misses;
-  CanonId R =
-      Interned.intern(graphConstruct(Fn, Args, Syms, Norm, &Scratch));
+  CanonId R = Interned.intern(
+      graphConstruct(Fn, Args, Syms, Norm, &Scratch, &WScratch));
   Construct.emplace(std::move(Key), R);
   return Interned.graph(R);
 }

@@ -350,6 +350,22 @@ TypeGraph TypeGraph::compact() const {
   return Out;
 }
 
+bool TypeGraph::isBfsNumbered() const {
+  if (RootId != 0)
+    return false;
+  // Ids below Next are exactly the vertices discovered so far, so a
+  // successor at or above Next is a discovery and must take id Next.
+  uint32_t Next = 1;
+  for (NodeId V = 0; V != Next; ++V)
+    for (NodeId S : node(V).Succs)
+      if (S >= Next) {
+        if (S != Next)
+          return false;
+        ++Next;
+      }
+  return Next == numNodes();
+}
+
 uint64_t TypeGraph::sizeMetric() const {
   if (RootId == InvalidNode)
     return 0;

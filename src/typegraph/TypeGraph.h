@@ -221,6 +221,12 @@ public:
   /// renumbered in BFS order (a deterministic canonical numbering).
   TypeGraph compact() const;
 
+  /// True if every vertex is reachable and numbered in BFS order from the
+  /// root, i.e. compact() would reproduce the node array. Normalization
+  /// outputs are; the make* constructors other than makeBottom are not.
+  /// One pass, no allocation.
+  bool isBfsNumbered() const;
+
   /// Paper's size(g): number of reachable vertices plus edges.
   uint64_t sizeMetric() const;
 
@@ -262,6 +268,14 @@ public:
   /// equal — the premise of the interner's language index
   /// (support/GraphInterner.h).
   bool isCertified() const { return NormValid; }
+  /// True if both graphs carry the same certificate (or both none).
+  bool sameCertificate(const TypeGraph &O) const {
+    if (NormValid != O.NormValid)
+      return false;
+    return !NormValid ||
+           (NormUniversal == O.NormUniversal && NormOrCap == O.NormOrCap &&
+            NormMaxNodes == O.NormMaxNodes && NormMaxDepth == O.NormMaxDepth);
+  }
 
   /// Cached BFS-structural signature (see support/GraphInterner.h). The
   /// mutators clear it; structuralHash fills it on first use.

@@ -479,6 +479,30 @@ private:
   bool HavePrev = false;
 };
 
+/// Gold U Gnew, the graph the transform loop starts from. When Gnew is
+/// certified for the widening's options and includes Gold, the union's
+/// language is Gnew's and the certificate proves Gnew is that language's
+/// canonical shape, so the union is Gnew itself: no product and no
+/// normalization. A BFS-numbered Gnew (every normalization output) is
+/// shared copy-on-write, and the first in-place transform detaches it;
+/// the make* constructors are renumbered by compact(). Either way Gn
+/// carries the certificate the computed union would carry.
+static TypeGraph unionForWidening(const TypeGraph &Gold, const TypeGraph &Gnew,
+                                  const SymbolTable &Syms,
+                                  const NormalizeOptions &Norm,
+                                  NormalizeScratch *Scratch,
+                                  WideningScratch &W) {
+  if (!Gnew.isNormalizedFor(Norm.OrCap, Norm.MaxNodes, Norm.MaxDepth) ||
+      !graphIncludes(Gnew, Gold, Syms, &W))
+    return graphUnion(Gold, Gnew, Syms, Norm, Scratch);
+  TypeGraph Gn = Gnew.isBfsNumbered() ? Gnew : Gnew.compact();
+  Gn.markNormalized(Norm.OrCap, Norm.MaxNodes, Norm.MaxDepth);
+  assert(detail::sameNormalForm(
+             Gn, detail::graphUnionFull(Gold, Gnew, Syms, Norm, Scratch)) &&
+         "widening's union shortcut diverged from the full pipeline");
+  return Gn;
+}
+
 /// Shared implementation: \p CheckInclusion is false when the caller has
 /// already refuted Gnew <= Gold (detail::graphWidenNotIncluded).
 static TypeGraph widenImpl(const TypeGraph &Gold, const TypeGraph &Gnew,
@@ -501,7 +525,7 @@ static TypeGraph widenImpl(const TypeGraph &Gold, const TypeGraph &Gnew,
   }
   if (Gold.isBottomGraph())
     return normalizeGraph(Gnew, Syms, Opts.Norm, Scratch);
-  TypeGraph Gn = graphUnion(Gold, Gnew, Syms, Opts.Norm, Scratch);
+  TypeGraph Gn = unionForWidening(Gold, Gnew, Syms, Opts.Norm, Scratch, W);
 
   WidenRun Run(Gold, Gn, Syms, Opts, Stats, Scratch, W);
   uint32_t Transforms = 0;

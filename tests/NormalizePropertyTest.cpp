@@ -27,11 +27,19 @@
 ///      a certified graph is reproduced by exact re-normalization of its
 ///      uncertified twin, and two certified graphs are structurally
 ///      equal iff their minimal automata are (tests/ReferenceInterner.h
-///      keys on the latter).
+///      keys on the latter),
+///   6. the certified-operand routes (the pair-state union, the direct
+///      construct and restrict results, the widening's union shortcut)
+///      return the full pipeline's graph vertex for vertex with an equal
+///      certificate, under every or-cap and depth bound. The full
+///      pipeline is reached without the library's help: normalizeGraph
+///      on a raw or(copy, copy) or f(copies), normalizeFrom for an
+///      argument vertex, and tests/WideningReference.h for the widening.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ReferenceInterner.h"
+#include "WideningReference.h"
 
 #include "support/GraphInterner.h"
 #include "typegraph/GraphOps.h"
@@ -106,13 +114,14 @@ private:
 
 struct Signature {
   SymbolTable Syms;
-  FunctorId A0, B0, C0, F1, G2, Lit;
+  FunctorId A0, B0, C0, F1, G2, H1, Lit;
   Signature() {
     A0 = Syms.functor("a", 0);
     B0 = Syms.functor("b", 0);
     C0 = Syms.functor("c", 0);
     F1 = Syms.functor("f", 1);
     G2 = Syms.functor("g", 2);
+    H1 = Syms.functor("h", 1);
     Lit = Syms.functor("7", 0);
   }
 };
@@ -385,6 +394,324 @@ TEST(NormalizePropertyTest, CachedRestrictAndConstructMatchUncached) {
         EXPECT_TRUE(structuralEqual(CRaw, CCached));
       }
     }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// 6. Certified-operand routes against the full pipeline.
+//===----------------------------------------------------------------------===//
+
+/// Vertex-for-vertex equality with an equal certificate: both graphs are
+/// compacted, so equal BFS-canonical shapes with equal roots and vertex
+/// counts mean identical node arrays.
+::testing::AssertionResult sameGraph(const TypeGraph &Route,
+                                     const TypeGraph &Full) {
+  if (!structuralEqual(Route, Full))
+    return ::testing::AssertionFailure() << "shapes differ";
+  if (Route.root() != Full.root() || Route.numNodes() != Full.numNodes())
+    return ::testing::AssertionFailure() << "numbering differs";
+  if (!Route.sameCertificate(Full))
+    return ::testing::AssertionFailure() << "certificates differ";
+  return ::testing::AssertionSuccess();
+}
+
+/// The naive construct shape f(copies), rooted at a fresh or-vertex.
+TypeGraph naiveConstruct(FunctorId Fn, const std::vector<TypeGraph> &Args) {
+  TypeGraph Raw;
+  SuccList ArgOrs;
+  for (const TypeGraph &A : Args)
+    ArgOrs.push_back(copySubgraph(A, A.root(), Raw));
+  NodeId F = Raw.addFunc(Fn, std::move(ArgOrs));
+  Raw.setRoot(Raw.addOr({F}));
+  return Raw;
+}
+
+/// Full-pipeline restrict: normalizeFrom on each argument or-vertex of
+/// the root's \p Fn alternative; false when the root has none (the Any
+/// and Int alternatives do not normalize anything and are left to the
+/// other tests).
+bool fullRestrict(const TypeGraph &V, FunctorId Fn, const SymbolTable &Syms,
+                  const NormalizeOptions &Opts, std::vector<TypeGraph> &Out,
+                  std::vector<NodeId> &ArgOrs) {
+  Out.clear();
+  ArgOrs.clear();
+  if (V.isBottomGraph())
+    return false;
+  for (NodeId S : V.node(V.root()).Succs) {
+    const TGNode &N = V.node(S);
+    if (N.Kind != NodeKind::Func || N.Fn != Fn)
+      continue;
+    for (NodeId ArgOr : N.Succs) {
+      ArgOrs.push_back(ArgOr);
+      Out.push_back(normalizeFrom(V, {ArgOr}, Syms, Opts));
+    }
+    return true;
+  }
+  return false;
+}
+
+/// True if a vertex reachable from \p X lies outside X's BFS-tree
+/// subtree (a back edge leaves the subtree for a proper ancestor of X).
+bool escapesSubtree(const TypeGraph &G, NodeId X) {
+  TypeGraph::Topology Topo = G.computeTopology();
+  std::vector<NodeId> Stack{X};
+  std::set<NodeId> Seen{X};
+  while (!Stack.empty()) {
+    NodeId V = Stack.back();
+    Stack.pop_back();
+    NodeId P = V;
+    while (P != X && P != InvalidNode)
+      P = Topo.Parent[P];
+    if (P != X)
+      return true;
+    for (NodeId S : G.node(V).Succs)
+      if (Seen.insert(S).second)
+        Stack.push_back(S);
+  }
+  return false;
+}
+
+/// The generator pool certified for \p Opts, plus the certified make*
+/// constructors (not BFS-numbered).
+std::vector<TypeGraph> certifiedPool(Signature &Sig, uint32_t Seed,
+                                     const NormalizeOptions &Opts,
+                                     uint32_t Size) {
+  GraphGen Gen(Sig, Seed);
+  std::vector<TypeGraph> Pool{TypeGraph::makeAny(), TypeGraph::makeInt(),
+                              TypeGraph::makeFunctorOfAny(Sig.Syms, Sig.F1),
+                              TypeGraph::makeFunctorOfAny(Sig.Syms, Sig.G2)};
+  while (Pool.size() != Size) {
+    TypeGraph N = normalizeGraph(Gen.randomRaw(), Sig.Syms, Opts);
+    if (N.isCertified() && !N.isBottomGraph())
+      Pool.push_back(std::move(N));
+  }
+  return Pool;
+}
+
+TEST(NormalizePropertyTest, CertifiedRoutesMatchFullPipeline) {
+  Signature Sig;
+  constexpr uint32_t PoolSize = 60;
+  uint32_t Unions = 0, Constructs = 0, NaiveConstructs = 0;
+  uint32_t RestrictedArgs = 0, ClosedArgs = 0, EscapingArgs = 0;
+  uint32_t Widenings = 0, WideningShortcuts = 0;
+  for (uint32_t OrCap : {0u, 5u, 2u})
+    for (uint32_t MaxDepth : {0u, 3u}) {
+      NormalizeOptions Opts;
+      Opts.OrCap = OrCap;
+      Opts.MaxDepth = MaxDepth;
+      SCOPED_TRACE(::testing::Message()
+                   << "OrCap " << OrCap << " MaxDepth " << MaxDepth);
+      std::vector<TypeGraph> Pool =
+          certifiedPool(Sig, 977 + OrCap * 10 + MaxDepth, Opts, PoolSize);
+
+      // Union: the pair-state route. Its certified results join the
+      // restrict operands below.
+      std::vector<TypeGraph> Operands = Pool;
+      for (uint32_t I = 0; I != PoolSize; ++I)
+        for (uint32_t Step : {1u, 3u, 11u}) {
+          const TypeGraph &A = Pool[I];
+          const TypeGraph &B = Pool[(I + Step) % PoolSize];
+          TypeGraph U = graphUnion(A, B, Sig.Syms, Opts);
+          TypeGraph Full = reference::unionByFullPipeline(A, B, Sig.Syms, Opts);
+          EXPECT_TRUE(sameGraph(U, Full))
+              << "union of pool graphs " << I << " and "
+              << (I + Step) % PoolSize;
+          ++Unions;
+          if (U.isCertified())
+            Operands.push_back(std::move(U));
+        }
+
+      // Construct: the direct route (MaxDepth 0) or its declines.
+      for (uint32_t I = 0; I != PoolSize; ++I) {
+        std::vector<std::pair<FunctorId, std::vector<TypeGraph>>> Cases{
+            {Sig.F1, {Pool[I]}},
+            {Sig.H1, {Pool[I]}},
+            {Sig.G2, {Pool[I], Pool[(I + 5) % PoolSize]}}};
+        for (const auto &[Fn, Args] : Cases) {
+          TypeGraph Raw = naiveConstruct(Fn, Args);
+          TypeGraph Full = normalizeGraph(Raw, Sig.Syms, Opts);
+          TypeGraph Route = graphConstruct(Fn, Args, Sig.Syms, Opts);
+          EXPECT_TRUE(sameGraph(Route, Full))
+              << "construct over pool graph " << I;
+          ++Constructs;
+          NaiveConstructs += structuralEqual(Raw.compact(), Full);
+        }
+      }
+
+      // Restrict: closed subtrees are copied, escaping ones determinized
+      // over single or-vertices.
+      for (size_t I = 0; I != Operands.size(); ++I)
+        for (FunctorId Fn : {Sig.F1, Sig.G2, Sig.A0, Sig.Lit}) {
+          const TypeGraph &V = Operands[I];
+          std::vector<TypeGraph> Route, Full;
+          std::vector<NodeId> ArgOrs;
+          bool Ok = graphRestrict(V, Fn, Sig.Syms, Opts, Route);
+          if (!fullRestrict(V, Fn, Sig.Syms, Opts, Full, ArgOrs))
+            continue; // no Fn alternative at the root
+          ASSERT_TRUE(Ok);
+          ASSERT_EQ(Route.size(), Full.size());
+          for (size_t J = 0; J != Full.size(); ++J) {
+            EXPECT_TRUE(sameGraph(Route[J], Full[J]))
+                << "argument " << J << " of operand " << I;
+            bool Escapes = escapesSubtree(V, ArgOrs[J]);
+            ClosedArgs += !Escapes;
+            EscapingArgs += Escapes;
+            ++RestrictedArgs;
+          }
+        }
+
+      // Widening: the union shortcut fires when the new graph includes
+      // the old one; compare with the independent reference.
+      WideningOptions WOpts;
+      WOpts.Norm = Opts;
+      for (uint32_t I = 0; I != PoolSize; ++I)
+        for (uint32_t Step : {1u, 7u}) {
+          const TypeGraph &Old = Pool[I];
+          TypeGraph New =
+              graphUnion(Old, Pool[(I + Step) % PoolSize], Sig.Syms, Opts);
+          if (!New.isCertified())
+            continue; // a depth-bound truncation: not a widening input
+          TypeGraph Widened = graphWiden(Old, New, Sig.Syms, WOpts);
+          EXPECT_TRUE(
+              sameGraph(Widened, reference::widen(Old, New, Sig.Syms, WOpts)))
+              << "widening of pool graph " << I;
+          ++Widenings;
+          WideningShortcuts += graphIncludes(New, Old, Sig.Syms) &&
+                               !graphIncludes(Old, New, Sig.Syms);
+        }
+    }
+  // Every route and both restrict outcomes were exercised.
+  EXPECT_GT(Unions, 0u);
+  EXPECT_GT(NaiveConstructs, Constructs / 2);
+  EXPECT_GT(ClosedArgs, 0u);
+  EXPECT_GT(EscapingArgs, 0u);
+  EXPECT_GT(WideningShortcuts, Widenings / 4);
+  EXPECT_GT(RestrictedArgs, 0u);
+}
+
+TEST(NormalizePropertyTest, ConstructDeclinesWhenAnArgumentRecursThroughRoot) {
+  // T ::= a | h(f(T)). Constructing f(T) gives R ::= f(a | h(R)): the
+  // argument's or-vertex {f(T)} denotes f(T) itself, so minimization
+  // merges it with the new root and the result gains a back edge to the
+  // root instead of the naive f(copy of T).
+  Signature Sig;
+  TypeGraph Raw;
+  NodeId A = Raw.addFunc(Sig.A0, {});
+  NodeId T = Raw.addOr({});
+  NodeId Inner = Raw.addOr({Raw.addFunc(Sig.F1, {T})});
+  Raw.node(T).Succs = {A, Raw.addFunc(Sig.H1, {Inner})};
+  Raw.setRoot(T);
+  TypeGraph TN = normalizeGraph(Raw, Sig.Syms);
+  ASSERT_TRUE(TN.isCertified());
+
+  NormalizeOptions Opts;
+  TypeGraph Naive = naiveConstruct(Sig.F1, {TN});
+  TypeGraph Full = normalizeGraph(Naive, Sig.Syms, Opts);
+  TypeGraph Route = graphConstruct(Sig.F1, {TN}, Sig.Syms, Opts);
+  EXPECT_TRUE(sameGraph(Route, Full));
+  EXPECT_FALSE(structuralEqual(Route, Naive.compact()));
+  // R: root or -> f -> or{a, h} -> h -> or, which is the root again.
+  const TGNode &F = Route.node(Route.node(Route.root()).Succs[0]);
+  ASSERT_EQ(F.Fn, Sig.F1);
+  const TGNode &Mid = Route.node(F.Succs[0]);
+  ASSERT_EQ(Mid.Succs.size(), 2u);
+  const TGNode &H = Route.node(Mid.Succs[1]);
+  ASSERT_EQ(H.Fn, Sig.H1);
+  EXPECT_EQ(H.Succs[0], Route.root());
+}
+
+TEST(NormalizePropertyTest, RestrictOfAnEscapingArgumentIsDeterminized) {
+  // V ::= a | g(W, W), W ::= b | h(V). Normalization unfolds the shared W
+  // into two copies below g, each with a back edge to the root. The
+  // first g argument reaches the root through h, so its subtree escapes;
+  // re-rooting V there keeps the second copy of W as its own vertex,
+  // while the canonical result is W' ::= b | h(a | g(W', W')).
+  Signature Sig;
+  TypeGraph Raw;
+  NodeId V = Raw.addOr({});
+  NodeId W = Raw.addOr({});
+  Raw.node(W).Succs = {Raw.addFunc(Sig.B0, {}), Raw.addFunc(Sig.H1, {V})};
+  Raw.node(V).Succs = {Raw.addFunc(Sig.A0, {}), Raw.addFunc(Sig.G2, {W, W})};
+  Raw.setRoot(V);
+  NormalizeOptions Opts;
+  TypeGraph VN = normalizeGraph(Raw, Sig.Syms, Opts);
+  ASSERT_TRUE(VN.isCertified());
+
+  std::vector<TypeGraph> Route, Full;
+  std::vector<NodeId> ArgOrs;
+  ASSERT_TRUE(graphRestrict(VN, Sig.G2, Sig.Syms, Opts, Route));
+  ASSERT_TRUE(fullRestrict(VN, Sig.G2, Sig.Syms, Opts, Full, ArgOrs));
+  ASSERT_EQ(Route.size(), 2u);
+  for (size_t J = 0; J != 2; ++J) {
+    EXPECT_TRUE(escapesSubtree(VN, ArgOrs[J]));
+    EXPECT_TRUE(sameGraph(Route[J], Full[J])) << "argument " << J;
+    TypeGraph Sub = VN;
+    Sub.setRoot(ArgOrs[J]);
+    EXPECT_FALSE(structuralEqual(Sub.compact(), Route[J]))
+        << "re-rooting an escaping subtree is not the canonical shape";
+  }
+  // W': root or -> h -> or{a, g} -> g, both of whose arguments are the
+  // root again.
+  const TypeGraph &R = Route[0];
+  const TGNode &Root = R.node(R.root());
+  ASSERT_EQ(Root.Succs.size(), 2u);
+  const TGNode &H = R.node(Root.Succs[1]);
+  ASSERT_EQ(H.Fn, Sig.H1);
+  const TGNode &Mid = R.node(H.Succs[0]);
+  ASSERT_EQ(Mid.Succs.size(), 2u);
+  const TGNode &G = R.node(Mid.Succs[1]);
+  ASSERT_EQ(G.Fn, Sig.G2);
+  EXPECT_EQ(G.Succs[0], R.root());
+  EXPECT_EQ(G.Succs[1], R.root());
+}
+
+TEST(NormalizePropertyTest, CappedPairUnionCollapsesAnOverfullStateToAny) {
+  // Under or-cap 2, f(a | b) U f(c) pairs the argument or-vertices into a
+  // state of or-degree 3, which becomes Any: the union is f(Any).
+  Signature Sig;
+  NormalizeOptions Opts;
+  Opts.OrCap = 2;
+  auto FOf = [&](std::vector<FunctorId> Alts) {
+    TypeGraph Raw;
+    SuccList Succs;
+    for (FunctorId Fn : Alts)
+      Succs.push_back(Raw.addFunc(Fn, {}));
+    NodeId Arg = Raw.addOr(std::move(Succs));
+    Raw.setRoot(Raw.addOr({Raw.addFunc(Sig.F1, {Arg})}));
+    return normalizeGraph(Raw, Sig.Syms, Opts);
+  };
+  TypeGraph AB = FOf({Sig.A0, Sig.B0});
+  TypeGraph C = FOf({Sig.C0});
+  ASSERT_TRUE(AB.isNormalizedFor(2, Opts.MaxNodes, 0));
+  ASSERT_TRUE(C.isNormalizedFor(2, Opts.MaxNodes, 0));
+  TypeGraph Route = graphUnion(AB, C, Sig.Syms, Opts);
+  TypeGraph Full = reference::unionByFullPipeline(AB, C, Sig.Syms, Opts);
+  EXPECT_TRUE(sameGraph(Route, Full));
+  EXPECT_TRUE(
+      structuralEqual(Route, TypeGraph::makeFunctorOfAny(Sig.Syms, Sig.F1)));
+}
+
+TEST(NormalizePropertyTest, WideningShortcutRenumbersAnUnnumberedAny) {
+  // makeAny() is certified but not BFS-numbered (its leaf is vertex 0).
+  // It includes every old graph, so the widening's union shortcut takes
+  // it as the union; the result must still be the full pipeline's
+  // compacted, options-certified Any.
+  Signature Sig;
+  TypeGraph Any = TypeGraph::makeAny();
+  ASSERT_FALSE(Any.isBfsNumbered());
+  ASSERT_TRUE(Any.compact().isBfsNumbered());
+  TypeGraph Old = normalizeGraph(
+      naiveConstruct(Sig.F1, {TypeGraph::makeInt()}), Sig.Syms);
+  ASSERT_TRUE(Old.isBfsNumbered());
+  for (uint32_t OrCap : {0u, 2u}) {
+    WideningOptions Opts;
+    Opts.Norm.OrCap = OrCap;
+    TypeGraph Widened = graphWiden(Old, Any, Sig.Syms, Opts);
+    TypeGraph Full =
+        reference::unionByFullPipeline(Old, Any, Sig.Syms, Opts.Norm);
+    EXPECT_TRUE(sameGraph(Widened, Full));
+    EXPECT_TRUE(sameGraph(Widened, reference::widen(Old, Any, Sig.Syms, Opts)));
+    EXPECT_TRUE(Widened.isBfsNumbered());
   }
 }
 

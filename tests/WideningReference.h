@@ -8,7 +8,11 @@
 /// after every transform. tests/WideningPropertyTest.cpp checks that the
 /// production graphWiden (typegraph/Widening.cpp) is *bit-identical* to
 /// this on seeded random inputs: the optimization layers must be
-/// unobservable.
+/// unobservable. The union the transform loop starts from is built raw
+/// and normalized by the full pipeline here (unionByFullPipeline), not
+/// through graphUnion, so neither graphUnion's pair-state route nor the
+/// widening's union shortcut is part of the specification it is
+/// compared with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -179,6 +183,18 @@ inline bool applyOneTransform(const TypeGraph &Go, TypeGraph &Gn,
   return false;
 }
 
+/// A U B by the full pipeline: normalizeGraph over a fresh or-vertex
+/// joining copies of both graphs.
+inline TypeGraph unionByFullPipeline(const TypeGraph &A, const TypeGraph &B,
+                                     const SymbolTable &Syms,
+                                     const NormalizeOptions &Opts) {
+  TypeGraph Raw;
+  NodeId RA = copySubgraph(A, A.root(), Raw);
+  NodeId RB = copySubgraph(B, B.root(), Raw);
+  Raw.setRoot(Raw.addOr({RA, RB}));
+  return normalizeGraph(Raw, Syms, Opts);
+}
+
 /// The reference Gold V Gnew (WidenMode::Paper only).
 inline TypeGraph widen(const TypeGraph &Gold, const TypeGraph &Gnew,
                        const SymbolTable &Syms,
@@ -187,7 +203,7 @@ inline TypeGraph widen(const TypeGraph &Gold, const TypeGraph &Gnew,
     return Gold;
   if (Gold.isBottomGraph())
     return normalizeGraph(Gnew, Syms, Opts.Norm);
-  TypeGraph Gn = graphUnion(Gold, Gnew, Syms, Opts.Norm);
+  TypeGraph Gn = unionByFullPipeline(Gold, Gnew, Syms, Opts.Norm);
   uint32_t Transforms = 0;
   while (applyOneTransform(Gold, Gn, Syms, Opts)) {
     ++Transforms;
